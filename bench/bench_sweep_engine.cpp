@@ -1,9 +1,9 @@
 // Sweep-engine benchmark: a Figure-12-sized what-if grid (methods ×
 // paradigms × schedules × chunks × memory-model × core counts) evaluated
-// several ways — naive per-point core::predict, then the memoizing sweep
-// engine on one worker and on a worker pool, each on both the scalar and
-// the batched evaluation path (core::EnginePath) — with bit-identity
-// checked cell by cell. The memoized win comes from canonical sub-keys: the FF
+// several ways — naive per-point core::predict (the scalar engines), then
+// the memoizing batched sweep engine on one worker and on a worker pool —
+// with bit-identity checked cell by cell. The memoized win comes from
+// canonical sub-keys: the FF
 // never reads the paradigm, Cilk never reads the schedule/chunk, Suitability
 // pins everything but the thread count, GroundTruth ignores the memory
 // model, and schedule(static) ignores the chunk.
@@ -86,34 +86,28 @@ int main() {
 
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   bool all_identical = true;
-  // Both engine paths at both worker counts: every run must reproduce the
-  // naive cells bit for bit (core/sweep.hpp determinism contract), and the
-  // scalar rows give the batched rows their like-for-like baseline.
-  for (const core::EnginePath path :
-       {core::EnginePath::Scalar, core::EnginePath::Batched}) {
-    grid.base.engine_path = path;
-    for (const std::size_t workers : {std::size_t{1}, std::size_t{hw}}) {
-      core::SweepOptions sopts;
-      sopts.workers = workers;
-      const core::SweepResult res = core::sweep(t, grid, sopts);
-      for (std::size_t i = 0; i < points.size(); ++i) {
-        const auto& a = naive[i];
-        const auto& b = res.cells[i].estimate;
-        if (a.speedup != b.speedup || a.parallel_cycles != b.parallel_cycles ||
-            a.serial_cycles != b.serial_cycles) {
-          all_identical = false;
-        }
+  // The sweep at both worker counts: every run must reproduce the naive
+  // cells bit for bit (core/sweep.hpp determinism contract).
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{hw}}) {
+    core::SweepOptions sopts;
+    sopts.workers = workers;
+    const core::SweepResult res = core::sweep(t, grid, sopts);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      const auto& a = naive[i];
+      const auto& b = res.cells[i].estimate;
+      if (a.speedup != b.speedup || a.parallel_cycles != b.parallel_cycles ||
+          a.serial_cycles != b.serial_cycles) {
+        all_identical = false;
       }
-      table.add_row({std::string(core::to_string(path)) + " sweep, " +
-                         std::to_string(res.stats.workers) + " worker" +
-                         (res.stats.workers == 1 ? "" : "s"),
-                     util::fmt_f(res.stats.wall_ms, 1),
-                     util::fmt_f(naive_ms / res.stats.wall_ms, 2) + "x",
-                     std::to_string(res.stats.section_evals) + " of " +
-                         std::to_string(res.stats.section_lookups),
-                     util::fmt_pct(res.stats.hit_rate())});
-      if (workers == hw && hw == 1) break;  // avoid a duplicate row
     }
+    table.add_row({"sweep, " + std::to_string(res.stats.workers) + " worker" +
+                       (res.stats.workers == 1 ? "" : "s"),
+                   util::fmt_f(res.stats.wall_ms, 1),
+                   util::fmt_f(naive_ms / res.stats.wall_ms, 2) + "x",
+                   std::to_string(res.stats.section_evals) + " of " +
+                       std::to_string(res.stats.section_lookups),
+                   util::fmt_pct(res.stats.hit_rate())});
+    if (workers == hw && hw == 1) break;  // avoid a duplicate row
   }
   table.print(std::cout);
   std::cout << "all " << points.size() << " cells bit-identical to naive: "

@@ -4,13 +4,13 @@
 //   1. the dependence tracker decides whether annotating it is legal
 //      (parallel / reduction / serial) from the observed access stream;
 //   2. legal loops get annotated + profiled;
-//   3. the recommender sweeps schedules and thread counts and proposes the
+//   3. the advisor sweeps schedules and thread counts and proposes the
 //      best parallelization — closing the loop the paper describes:
 //      annotate → profile → predict → decide, before writing parallel code.
 #include <iostream>
 
 #include "annotate/annotations.hpp"
-#include "core/recommend.hpp"
+#include "core/advise.hpp"
 #include "depend/dependence.hpp"
 #include "report/experiment.hpp"
 #include "trace/profiler.hpp"
@@ -135,10 +135,11 @@ int main() {
   const tree::ProgramTree t = profiler.finish();
 
   // Phase 3: recommend a parallelization.
-  core::RecommendOptions ro;
-  ro.base = report::paper_options(core::Method::Synthesizer);
-  ro.thread_counts = {2, 4, 8, 12};
-  const core::Recommendation rec = core::recommend(t, ro);
+  core::AdviseOptions ao;
+  ao.base = report::paper_options(core::Method::Synthesizer);
+  ao.grid.thread_counts = {2, 4, 8, 12};
+  ao.grid.chunks.clear();  // sweep with the base chunk
+  const core::Advice rec = core::advise_configurations(t, ao);
   std::cout << "\nBest:        " << core::to_string(rec.best.paradigm) << " "
             << runtime::to_string(rec.best.schedule) << " on "
             << rec.best.threads << " threads -> "

@@ -13,7 +13,6 @@
 
 #include "core/advise.hpp"
 #include "core/machine_sweep.hpp"
-#include "core/recommend.hpp"
 #include "machine/presets.hpp"
 #include "machine/timeline.hpp"
 #include "reuse/miss_model.hpp"
@@ -41,11 +40,8 @@ constexpr const char* kUsage = R"(usage:
                     [--paradigm omp|cilk] [--schedule static|static1|dynamic|guided]
                     [--chunk N] [--threads 2,4,8] [--cores N]
                     [--machine PRESET] [--memory-model] [--csv FILE]
-                    [--engine-path auto|scalar|batched]
   pprophet inspect  --tree FILE
   pprophet compress --tree FILE -o FILE [--tolerance 0.05] [--lossy]
-  pprophet recommend --tree FILE [--threads 2,4,8] [--cores N]
-                     [--memory-model]
   pprophet advise   --tree FILE [--threads 2,4,8] [--cores N]
                     [--target-threads N] [--memory-model]
   pprophet timeline --tree FILE [--threads N] [--paradigm omp|cilk]
@@ -55,12 +51,11 @@ constexpr const char* kUsage = R"(usage:
                     [--chunks 1,4] [--threads 2,4,8] [--cores N]
                     [--machines westmere,skylake,...] [--memory-model]
                     [--workers N] [--csv FILE]
-                    [--engine-path auto|scalar|batched]
   pprophet serve    --socket PATH [--listen HOST:PORT] [--serve-workers N]
                     [--queue-limit N] [--cache-mb N] [--workers N] [--cores N]
                     [--log FILE] [--slow-ms N] [--log-sample N]
   pprophet client   --socket PATH | --connect HOST:PORT
-                    [--op] ping|stats|upload|predict|sweep|recommend|advise
+                    [--op] ping|stats|upload|predict|sweep|advise
                     [--tree FILE | --key HASH] [--methods ...] [--paradigms ...]
                     [--schedules ...] [--chunks ...] [--threads 2,4,8]
                     [--cores N] [--target-threads N] [--machines ...]
@@ -101,21 +96,6 @@ bool parse_list(const std::string& v, std::vector<T>& out, ParseOne one) {
 bool parse_chunk(const std::string& v, std::uint64_t& out) {
   out = std::strtoull(v.c_str(), nullptr, 10);
   return out != 0;
-}
-
-// Spellings match core::to_string(EnginePath) so `--engine-path $(reported)`
-// round-trips.
-bool parse_engine_path(const std::string& v, core::EnginePath& out) {
-  if (v == "auto") {
-    out = core::EnginePath::Auto;
-  } else if (v == "scalar") {
-    out = core::EnginePath::Scalar;
-  } else if (v == "batched") {
-    out = core::EnginePath::Batched;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 bool parse_threads(const std::string& v, std::vector<CoreCount>& out) {
@@ -178,7 +158,6 @@ int cmd_predict(const Options& opts, std::ostream& out, std::ostream& err) {
   po.chunk = opts.chunk;
   po.machine.cores = opts.cores;
   po.memory_model = opts.memory_model;
-  po.engine_path = opts.engine_path;
   if (!opts.machine.empty()) {
     // Price the tree on a named preset: the preset is the whole machine
     // (cores included), and sections carrying reuse profiles get their
@@ -272,7 +251,6 @@ int cmd_sweep(const Options& opts, std::ostream& out, std::ostream& err) {
   grid.memory_models = {opts.memory_model};
   grid.base = report::paper_options(grid.methods.front());
   grid.base.machine.cores = opts.cores;
-  grid.base.engine_path = opts.engine_path;
 
   core::SweepOptions sopts;
   sopts.workers = opts.workers;
@@ -367,8 +345,7 @@ int cmd_sweep(const Options& opts, std::ostream& out, std::ostream& err) {
   } else {
     status << "machine " << opts.cores << " cores";
   }
-  status << ", memory model " << (opts.memory_model ? "on" : "off")
-         << ", engine path " << core::to_string(opts.engine_path) << "\n";
+  status << ", memory model " << (opts.memory_model ? "on" : "off") << "\n";
   if (!csv_stdout) table.print(out);
   const auto& s = stats;
   (csv_selected ? err : out)
@@ -446,37 +423,6 @@ int cmd_compress(const Options& opts, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int cmd_recommend(const Options& opts, std::ostream& out, std::ostream& err) {
-  auto t = load_tree(opts.tree_path, err);
-  if (!t) return 1;
-  core::RecommendOptions ro;
-  ro.base = report::paper_options(core::Method::Synthesizer);
-  ro.base.machine.cores = opts.cores;
-  ro.base.memory_model = opts.memory_model;
-  ro.thread_counts = opts.threads;
-  if (opts.memory_model) {
-    memmodel::CalibrationOptions copts;
-    copts.machine = ro.base.machine;
-    const memmodel::BurdenModel model(memmodel::calibrate(copts));
-    memmodel::annotate_burdens(*t, model, opts.threads);
-  }
-  const core::Recommendation rec = core::recommend(*t, ro);
-  out << "best:       " << core::to_string(rec.best.paradigm) << " "
-      << runtime::to_string(rec.best.schedule) << " on " << rec.best.threads
-      << " threads -> " << util::fmt_f(rec.best.speedup, 2) << "x\n"
-      << "economical: " << rec.economical.threads << " threads -> "
-      << util::fmt_f(rec.economical.speedup, 2) << "x\n\n";
-  util::Table table({"paradigm", "schedule", "threads", "speedup",
-                     "efficiency"});
-  for (const core::Candidate& c : rec.sweep) {
-    table.add_row({core::to_string(c.paradigm),
-                   runtime::to_string(c.schedule), std::to_string(c.threads),
-                   util::fmt_f(c.speedup, 2), util::fmt_pct(c.efficiency)});
-  }
-  table.print(out);
-  return 0;
-}
-
 // The what-if advisor (docs/ADVISOR.md): critical-path profile per section,
 // the configuration search, and the ranked hypothetical edits.
 int cmd_advise(const Options& opts, std::ostream& out, std::ostream& err) {
@@ -487,7 +433,7 @@ int cmd_advise(const Options& opts, std::ostream& out, std::ostream& err) {
   ao.base.machine.cores = opts.cores;
   ao.base.memory_model = opts.memory_model;
   ao.grid.thread_counts = opts.threads;
-  ao.grid.chunks.clear();  // sweep with the base chunk, as recommend does
+  ao.grid.chunks.clear();  // sweep with the base chunk
   ao.target_threads = opts.target_threads;
   if (opts.memory_model) {
     memmodel::CalibrationOptions copts;
@@ -679,9 +625,8 @@ serve::JsonValue build_client_request(const Options& opts,
       req.set("target_threads",
               serve::JsonValue(static_cast<std::uint64_t>(opts.target_threads)));
     }
-    return req;  // the advisor sweeps its own dimensions, like recommend
+    return req;  // the advisor sweeps its own dimensions
   }
-  if (op == "recommend") return req;  // server sweeps its own dimensions
   serve::JsonValue::Array methods, paradigms, schedules, chunks;
   if (opts.methods.empty()) {
     methods.emplace_back(serve::wire_name(opts.method));
@@ -743,7 +688,7 @@ void print_cells(const serve::JsonValue& result, std::ostream& out) {
   table.print(out);
 }
 
-void print_recommendation(const serve::JsonValue& result, std::ostream& out) {
+void print_advice(const serve::JsonValue& result, std::ostream& out) {
   const auto line = [&](const char* label, const serve::JsonValue& c) {
     out << label << c.at("paradigm").as_string() << " "
         << c.at("schedule").as_string() << " on " << c.at("threads").as_u64()
@@ -752,10 +697,6 @@ void print_recommendation(const serve::JsonValue& result, std::ostream& out) {
   };
   line("best:       ", result.at("best"));
   line("economical: ", result.at("economical"));
-}
-
-void print_advice(const serve::JsonValue& result, std::ostream& out) {
-  print_recommendation(result, out);
   out << "baseline at " << result.at("target_threads").as_u64()
       << " threads: "
       << util::fmt_f(result.at("baseline").at("speedup").as_double(), 2)
@@ -781,11 +722,11 @@ int cmd_client(const Options& opts, std::ostream& out, std::ostream& err) {
   }
   const std::string& op = opts.op;
   const bool needs_tree =
-      op == "upload" || ((op == "predict" || op == "sweep" ||
-                          op == "recommend" || op == "advise") &&
-                         opts.key.empty());
+      op == "upload" ||
+      ((op == "predict" || op == "sweep" || op == "advise") &&
+       opts.key.empty());
   if (op != "ping" && op != "stats" && op != "upload" && op != "predict" &&
-      op != "sweep" && op != "recommend" && op != "advise") {
+      op != "sweep" && op != "advise") {
     err << "pprophet: unknown client --op '" << op << "'\n";
     return 1;
   }
@@ -834,9 +775,7 @@ int cmd_client(const Options& opts, std::ostream& out, std::ostream& err) {
       return 1;
     }
     const serve::JsonValue& result = resp.at("result");
-    if (op == "recommend") {
-      print_recommendation(result, out);
-    } else if (op == "advise") {
+    if (op == "advise") {
       print_advice(result, out);
     } else {
       print_cells(result, out);
@@ -973,11 +912,10 @@ std::optional<Options> parse_args(const std::vector<std::string>& args,
   Options opts;
   opts.command = args[0];
   if (opts.command != "predict" && opts.command != "inspect" &&
-      opts.command != "compress" && opts.command != "recommend" &&
-      opts.command != "advise" && opts.command != "timeline" &&
-      opts.command != "sweep" && opts.command != "serve" &&
-      opts.command != "client" && opts.command != "stats" &&
-      opts.command != "help") {
+      opts.command != "compress" && opts.command != "advise" &&
+      opts.command != "timeline" && opts.command != "sweep" &&
+      opts.command != "serve" && opts.command != "client" &&
+      opts.command != "stats" && opts.command != "help") {
     err << "pprophet: unknown command '" << opts.command
         << "' (run 'pprophet help' for usage)\n";
     return std::nullopt;
@@ -1093,12 +1031,6 @@ std::optional<Options> parse_args(const std::vector<std::string>& args,
       }
       if (opts.machines.empty()) {
         err << "pprophet: bad --machines (use e.g. westmere,skylake)\n";
-        return std::nullopt;
-      }
-    } else if (a == "--engine-path") {
-      const auto v = need_value();
-      if (!v || !parse_engine_path(*v, opts.engine_path)) {
-        err << "pprophet: bad --engine-path (use auto, scalar or batched)\n";
         return std::nullopt;
       }
     } else if (a == "--workers") {
@@ -1273,7 +1205,6 @@ int dispatch(const Options& opts, std::ostream& out, std::ostream& err,
     if (opts.command == "predict") return cmd_predict(opts, out, err);
     if (opts.command == "inspect") return cmd_inspect(opts, out, err);
     if (opts.command == "compress") return cmd_compress(opts, out, err);
-    if (opts.command == "recommend") return cmd_recommend(opts, out, err);
     if (opts.command == "advise") return cmd_advise(opts, out, err);
     if (opts.command == "timeline") return cmd_timeline(opts, out, err);
     if (opts.command == "sweep") return cmd_sweep(opts, out, err);

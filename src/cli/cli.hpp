@@ -4,11 +4,8 @@
 //   pprophet predict  --tree t.ptree [--method syn] [--paradigm omp]
 //                     [--schedule static1] [--chunk 1] [--threads 2,4,8,12]
 //                     [--cores 12] [--memory-model] [--csv out.csv]
-//                     [--engine-path auto|scalar|batched]
 //   pprophet inspect  --tree t.ptree
 //   pprophet compress --tree t.ptree -o out.ptree [--tolerance 0.05] [--lossy]
-//   pprophet recommend --tree t.ptree [--threads 2,4,8] [--cores N]
-//                      [--memory-model]
 //   pprophet advise   --tree t.ptree [--threads 2,4,8] [--cores N]
 //                     [--target-threads N] [--memory-model]
 //   pprophet timeline --tree t.ptree [--threads N] [--paradigm omp|cilk]
@@ -16,13 +13,12 @@
 //                     [--paradigms omp,cilk] [--schedules static1,static,dynamic]
 //                     [--chunks 1,4] [--threads 2,4,8] [--cores N]
 //                     [--memory-model] [--workers N] [--csv out.csv]
-//                     [--engine-path auto|scalar|batched]
 //   pprophet serve    --socket /run/pp.sock [--listen HOST:PORT]
 //                     [--serve-workers N] [--queue-limit N] [--cache-mb N]
 //                     [--cores N] [--log FILE] [--slow-ms N] [--log-sample N]
 //   pprophet client   --socket /run/pp.sock | --connect HOST:PORT
 //                     [--op] ping|stats|upload|predict|
-//                     sweep|recommend|advise [--tree t.ptree | --key HASH] [...]
+//                     sweep|advise [--tree t.ptree | --key HASH] [...]
 //   pprophet stats    --socket /run/pp.sock | --connect HOST:PORT
 //                     [--watch N] [--samples M]
 //
@@ -49,8 +45,7 @@
 namespace pprophet::cli {
 
 struct Options {
-  /// predict|inspect|compress|recommend|advise|timeline|sweep|serve|client|
-  /// stats|help
+  /// predict|inspect|compress|advise|timeline|sweep|serve|client|stats|help
   std::string command;
   std::string tree_path;
   std::string output_path;
@@ -79,10 +74,6 @@ struct Options {
   /// --machine (predict): single preset overriding the default machine.
   std::string machine;
   std::size_t workers = 0;  ///< sweep worker pool; 0 = hardware concurrency
-  /// --engine-path (predict/sweep): evaluation machinery selector. Auto
-  /// routes sweeps through the batched evaluators and predict through the
-  /// scalar engines; scalar/batched force one path (core/engine_options.hpp).
-  core::EnginePath engine_path = core::EnginePath::Auto;
   // observability (any command)
   bool metrics = false;      ///< --metrics: enable + report the registry
   std::string metrics_path;  ///< --metrics=FILE: render by extension

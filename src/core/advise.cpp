@@ -159,7 +159,7 @@ class Pricer {
 };
 
 // ---------------------------------------------------------------------------
-// Configuration search (the old recommend() sweep, via the batched engine)
+// Configuration search (a Synthesizer sweep, via the batched engine)
 // ---------------------------------------------------------------------------
 
 void check_grid(const GridSpec& grid) {
@@ -169,7 +169,7 @@ void check_grid(const GridSpec& grid) {
   }
 }
 
-/// Candidate points in the historical recommend() enumeration order
+/// Candidate points in a fixed enumeration order
 /// (paradigm, then schedule — Cilk ignores schedules past the first — then
 /// chunk, then threads), so the stable sort ranks ties identically.
 std::vector<SweepPoint> config_points(const GridSpec& grid,
@@ -357,7 +357,7 @@ CriticalPathProfile critical_path_profile(const tree::ProgramTree& tree) {
 Advice advise_configurations(const CompiledTree& compiled,
                              const AdviseOptions& options) {
   check_grid(options.grid);
-  // Historical recommend() had no chunk axis: empty inherits base.chunk.
+  // An empty chunk axis inherits base.chunk.
   const std::vector<std::uint64_t> chunks =
       options.grid.chunks.empty() ? std::vector<std::uint64_t>{options.base.chunk}
                                   : options.grid.chunks;
@@ -461,14 +461,6 @@ Advice advise(const CompiledTree& compiled, const AdviseOptions& options) {
 
 Advice advise(const tree::ProgramTree& tree, const AdviseOptions& options) {
   return advise(CompiledTree::compile(tree), options);
-}
-
-Recommendation to_recommendation(const Advice& advice) {
-  Recommendation rec;
-  rec.best = advice.best;
-  rec.economical = advice.economical;
-  rec.sweep = advice.configurations;
-  return rec;
 }
 
 }  // namespace pprophet::core

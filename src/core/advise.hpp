@@ -6,9 +6,9 @@
 //   1. critical_path_profile — per top-level section work/span, the
 //      parallelism ceiling work/span, and lock-serialization shares (which
 //      lock caps which section at what thread count).
-//   2. configuration search — the old recommend() sweep, routed through
-//      core::sweep's memoized batched path and returning ranked Candidates
-//      (core::recommend is now a thin deprecated adapter over this stage).
+//   2. configuration search — a Synthesizer sweep over paradigm × schedule
+//      × chunk × thread count, routed through core::sweep's memoized
+//      batched path and returning ranked Candidates.
 //   3. hypothetical-edit search — enumerate tree::TreeEdit candidates
 //      (split tasks K× finer, shrink a lock span, improve a section's
 //      burden), apply each to a COPY of the compiled arrays, re-price at
@@ -28,11 +28,20 @@
 #include <vector>
 
 #include "core/grid_spec.hpp"
-#include "core/recommend.hpp"
 #include "core/sweep.hpp"
 #include "tree/edit.hpp"
 
 namespace pprophet::core {
+
+/// One evaluated configuration of the configuration search.
+struct Candidate {
+  Paradigm paradigm{};
+  runtime::OmpSchedule schedule{};
+  std::uint64_t chunk = 1;
+  CoreCount threads = 0;
+  double speedup = 0.0;
+  double efficiency = 0.0;  ///< speedup / threads
+};
 
 /// One lock's serialization share inside a section: all its holders must
 /// run one at a time, so `held_cycles` is a floor on the section's span
@@ -103,12 +112,14 @@ struct Action {
 
 struct AdviseOptions {
   /// Base options: machine, overheads, baseline paradigm/schedule/chunk,
-  /// memory-model flag. The method is forced to Synthesizer (as recommend
-  /// always did).
+  /// memory-model flag. The method is forced to Synthesizer, the default
+  /// engine (most accurate).
   PredictOptions base{};
   /// Configuration-search dimensions. Empty `chunks` inherits base.chunk.
   GridSpec grid{};
-  /// Economical pick: fewest threads within this fraction of the best.
+  /// Economical pick: fewest threads within this fraction of the best
+  /// ("use 8 cores, the 12-core gain is noise"). Ties within the knee break
+  /// deterministically: fewest threads, then StaticBlock.
   double efficiency_knee = 0.05;
   /// Thread count edits are priced at; 0 = max of grid.thread_counts.
   CoreCount target_threads = 0;
@@ -132,8 +143,7 @@ struct Advice {
   Candidate baseline{};
   Candidate best{};        ///< configuration-search winner
   Candidate economical{};  ///< fewest threads within the efficiency knee
-  /// Every evaluated configuration, sorted by descending speedup (the old
-  /// Recommendation::sweep).
+  /// Every evaluated configuration, sorted by descending speedup.
   std::vector<Candidate> configurations;
   CriticalPathProfile profile;
   /// Ranked what-if actions, best delta first.
@@ -143,9 +153,9 @@ struct Advice {
   SweepStats stats;
 };
 
-/// Configuration-search stage only (profile included, edit search skipped)
-/// — what core::recommend wraps. Throws std::invalid_argument on an empty
-/// sweep dimension.
+/// Configuration-search stage only (profile included, edit search skipped).
+/// The tree should carry burden factors already if base.memory_model is
+/// set. Throws std::invalid_argument on an empty sweep dimension.
 Advice advise_configurations(const tree::CompiledTree& compiled,
                              const AdviseOptions& options = {});
 Advice advise_configurations(const tree::ProgramTree& tree,
@@ -158,10 +168,5 @@ Advice advise(const tree::CompiledTree& compiled,
               const AdviseOptions& options = {});
 Advice advise(const tree::ProgramTree& tree,
               const AdviseOptions& options = {});
-
-/// Deprecated adapter: the old Recommendation view of an Advice
-/// (best / economical / sweep). New code should consume Advice directly;
-/// see docs/ADVISOR.md for the deprecation path.
-Recommendation to_recommendation(const Advice& advice);
 
 }  // namespace pprophet::core

@@ -5,11 +5,8 @@
 // Both user-facing option structs embed this by inheritance:
 //   struct PredictOptions : EngineOptions { ... }   (core/prophet.hpp)
 //   struct ProphetConfig  : EngineOptions { ... }   (core/pipeline.hpp)
-// so `options.schedule` (the historical spelling) and
-// `options.engine().schedule` (the explicit spelling) name the same field —
-// the inheritance IS the deprecated-alias shim: existing callers compile
-// unchanged for one release, after which new code should prefer engine().
-// No field is duplicated between the two structs.
+// so no field is duplicated between the two structs, and one can seed the
+// other by assigning the EngineOptions base.
 #pragma once
 
 #include "machine/machine.hpp"
@@ -18,29 +15,6 @@
 #include "util/types.hpp"
 
 namespace pprophet::core {
-
-/// Which evaluation machinery serves FF/Suitability predictions.
-///
-///   Auto    — pick per call site: sweeps route through the batched
-///             evaluators (emul::FfSectionBatch), single predict() calls
-///             stay scalar (a one-shot batch build has nothing to amortize).
-///   Scalar  — always the original per-point engines. The reference for
-///             differential testing, and the only path that can record an
-///             execution Timeline.
-///   Batched — always the batched evaluators where they exist (FF and
-///             Suitability sections); Synthesizer/GroundTruth and
-///             timeline-recording predictions fall back to scalar.
-/// Every path is bit-identical (tests/property/test_batched_equivalence.cpp).
-enum class EnginePath : std::uint8_t { Auto, Scalar, Batched };
-
-inline const char* to_string(EnginePath p) {
-  switch (p) {
-    case EnginePath::Auto: return "auto";
-    case EnginePath::Scalar: return "scalar";
-    case EnginePath::Batched: return "batched";
-  }
-  return "?";
-}
 
 struct EngineOptions {
   /// Target machine (its core count is the *physical* core count; the
@@ -55,13 +29,6 @@ struct EngineOptions {
   /// memmodel::annotate_burdens). GroundTruth always uses the machine's
   /// dynamic contention instead.
   bool memory_model = false;
-  /// Scalar vs batched evaluation (see EnginePath above).
-  EnginePath engine_path = EnginePath::Auto;
-
-  /// The embedded engine configuration, by its explicit name. Prefer this
-  /// spelling in new code; the flat member access remains as an alias.
-  EngineOptions& engine() { return *this; }
-  const EngineOptions& engine() const { return *this; }
 };
 
 }  // namespace pprophet::core

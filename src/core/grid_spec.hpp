@@ -1,10 +1,6 @@
 // The shared sweep-dimension spec: thread counts × paradigms × schedules ×
-// chunk sizes. One struct replaces the three copies that used to live in
-// RecommendOptions, SweepGrid and the CLI/serve request parsers; the
-// consumers embed it by inheritance, so the historical flat spellings
-// (`grid.thread_counts`, `options.schedules`, ...) keep compiling — the
-// same deprecated-alias-shim pattern EngineOptions established
-// (core/engine_options.hpp).
+// chunk sizes, used by SweepGrid (which embeds it by inheritance), the
+// advisor's AdviseOptions::grid and the CLI/serve request parsers.
 //
 // Name parsing stays where it always was: the table-driven parsers in
 // serve/protocol.hpp (parse_method / parse_paradigm / parse_schedule) are
@@ -33,7 +29,7 @@ struct GridSpec {
       runtime::OmpSchedule::Dynamic, runtime::OmpSchedule::Guided};
   /// Chunk sizes for the chunked schedules. An empty list means "inherit
   /// the base options' chunk" to the consumers that carry base options
-  /// (recommend/advise normalize it that way).
+  /// (the advisor normalizes it that way).
   std::vector<std::uint64_t> chunks{1};
 };
 

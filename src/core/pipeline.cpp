@@ -54,7 +54,7 @@ Prophet::Prophet(ProphetConfig config) : config_(std::move(config)) {
 
 PredictOptions Prophet::predict_options(Method method) const {
   PredictOptions o;
-  o.engine() = config_.engine();
+  static_cast<EngineOptions&>(o) = config_;
   o.method = method;
   o.paradigm = config_.paradigm;
   return o;
@@ -118,7 +118,6 @@ ProphetReport Prophet::analyze(ProfiledProgram profiled) const {
     ao.grid.thread_counts = config_.thread_counts;
     ao.grid.chunks.clear();  // sweep with the configured chunk (as before)
     report.advice = advise(profiled.tree, ao);
-    report.recommendation = to_recommendation(report.advice);
   }
   if (obs::enabled()) {
     report.metrics = obs::MetricsRegistry::global().snapshot();
@@ -151,12 +150,12 @@ void ProphetReport::print(std::ostream& os) const {
   os << "tree: " << tree_stats.physical_nodes << " nodes ("
      << tree_stats.logical_nodes << " logical), max burden beta = "
      << util::fmt_f(max_burden, 2) << "\n"
-     << "recommendation: " << to_string(recommendation.best.paradigm) << " "
-     << runtime::to_string(recommendation.best.schedule) << " on "
-     << recommendation.best.threads << " threads -> "
-     << util::fmt_f(recommendation.best.speedup, 2) << "x (economical: "
-     << recommendation.economical.threads << " threads, "
-     << util::fmt_f(recommendation.economical.speedup, 2) << "x)\n";
+     << "recommendation: " << to_string(advice.best.paradigm) << " "
+     << runtime::to_string(advice.best.schedule) << " on "
+     << advice.best.threads << " threads -> "
+     << util::fmt_f(advice.best.speedup, 2) << "x (economical: "
+     << advice.economical.threads << " threads, "
+     << util::fmt_f(advice.economical.speedup, 2) << "x)\n";
   if (!advice.actions.empty()) {
     os << "what-if (at " << advice.target_threads << " threads):\n";
     const std::size_t shown = std::min<std::size_t>(3, advice.actions.size());

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "core/advise.hpp"
-#include "core/recommend.hpp"
 #include "machine/machine.hpp"
 #include "machine/presets.hpp"
 #include "memmodel/burden.hpp"
@@ -31,8 +30,7 @@
 namespace pprophet::core {
 
 /// Pipeline configuration: the shared EngineOptions (machine, overheads,
-/// schedule, chunk, memory-model — `config.machine` and
-/// `config.engine().machine` are the same field) plus the pipeline extras.
+/// schedule, chunk, memory-model) plus the pipeline extras.
 /// Defaults differ from a bare EngineOptions: the simulated 12-core
 /// Westmere testbed with the memory model on.
 struct ProphetConfig : EngineOptions {
@@ -72,9 +70,6 @@ struct ProphetReport {
   /// Full advisor output: configuration search, critical-path profile and
   /// ranked what-if actions (core/advise.hpp).
   Advice advice;
-  /// DEPRECATED adapter view of `advice` (best / economical / sweep), kept
-  /// for callers of the old field.
-  Recommendation recommendation;
   tree::TreeStats tree_stats;
   double max_burden = 1.0;  ///< largest β over sections × thread counts
   /// Stage timings carried over from profile() plus analyze()'s own stages.

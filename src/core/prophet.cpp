@@ -98,34 +98,10 @@ Cycles serial_cycles_of(const tree::ProgramTree& tree) {
 
 namespace {
 
-/// An explicit EnginePath::Batched request uses the batched evaluators for
-/// the methods that have one. A fresh per-call batch build amortizes
-/// nothing — stateful reuse lives in the sweep engine — so this exists for
-/// differential testing, not speed; Auto stays scalar here. Timeline
-/// recording is scalar-only (the batched engines coarsen steps).
-bool use_batched(const PredictOptions& options) {
-  return options.engine_path == EnginePath::Batched &&
-         options.timeline == nullptr;
-}
-
-emul::BlockPoint block_point(const PredictOptions& options,
-                             CoreCount threads) {
-  emul::BlockPoint p;
-  p.threads = threads;
-  p.schedule = options.schedule;
-  p.chunk = options.chunk;
-  p.apply_burden = options.memory_model;
-  return p;
-}
-
 Cycles section_cycles_impl(const tree::Node& sec, CoreCount threads,
                            const PredictOptions& options) {
   switch (options.method) {
     case Method::FastForward: {
-      if (use_batched(options)) {
-        emul::FfSectionBatch batch(sec, options.omp_overheads);
-        return batch.evaluate(block_point(options, threads));
-      }
       emul::FfConfig ff;
       ff.num_threads = threads;
       ff.schedule = options.schedule;
@@ -136,10 +112,6 @@ Cycles section_cycles_impl(const tree::Node& sec, CoreCount threads,
       return emul::emulate_ff_section(sec, ff).parallel_cycles;
     }
     case Method::Suitability: {
-      if (use_batched(options)) {
-        emul::SuitabilitySectionBatch batch(sec);
-        return batch.evaluate(threads);
-      }
       emul::SuitabilityConfig cfg;
       cfg.num_threads = threads;
       return emul::emulate_suitability_section(sec, cfg).parallel_cycles;
@@ -166,10 +138,6 @@ Cycles section_cycles_impl(const tree::CompiledTree& ct, std::uint32_t s,
                            CoreCount threads, const PredictOptions& options) {
   switch (options.method) {
     case Method::FastForward: {
-      if (use_batched(options)) {
-        emul::FfSectionBatch batch(ct, s, options.omp_overheads);
-        return batch.evaluate(block_point(options, threads));
-      }
       emul::FfConfig ff;
       ff.num_threads = threads;
       ff.schedule = options.schedule;
@@ -180,10 +148,6 @@ Cycles section_cycles_impl(const tree::CompiledTree& ct, std::uint32_t s,
       return emul::emulate_ff_section(ct, s, ff).parallel_cycles;
     }
     case Method::Suitability: {
-      if (use_batched(options)) {
-        emul::SuitabilitySectionBatch batch(ct, s);
-        return batch.evaluate(threads);
-      }
       emul::SuitabilityConfig cfg;
       cfg.num_threads = threads;
       return emul::emulate_suitability_section(ct, s, cfg).parallel_cycles;

@@ -41,8 +41,7 @@ enum class Method : std::uint8_t {
 const char* to_string(Method m);
 
 /// Prediction options: the shared EngineOptions (machine, overheads,
-/// schedule, chunk, memory-model — accessible both flat, `o.schedule`, and
-/// as `o.engine().schedule`) plus the per-prediction extras below.
+/// schedule, chunk, memory-model) plus the per-prediction extras below.
 struct PredictOptions : EngineOptions {
   Method method = Method::Synthesizer;
   Paradigm paradigm = Paradigm::OpenMP;
@@ -75,9 +74,10 @@ SpeedupEstimate predict(const tree::CompiledTree& compiled, CoreCount threads,
 
 /// Projected parallel duration of ONE repetition of the top-level section
 /// `sec` under `options` — the per-section term of the §IV-E composition.
-/// predict() and the sweep engine (core/sweep.hpp) both sum estimates from
-/// this function, which is what makes batched sweeps bit-identical to the
-/// sequential path. `sec` must be a Sec node. This overload walks the
+/// predict() sums estimates from this function; the sweep engine
+/// (core/sweep.hpp) sums the same terms, from this function for SYN/Real
+/// and from the bit-identical batched evaluators for FF/Suitability. `sec`
+/// must be a Sec node. This overload walks the
 /// pointer tree and is the reference implementation the compiled path is
 /// tested against (tests/tree/test_compile.cpp).
 Cycles predict_section_cycles(const tree::Node& sec, CoreCount threads,

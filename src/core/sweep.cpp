@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
-#include <future>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -95,71 +94,10 @@ PredictOptions options_for(const PredictOptions& base, const SweepPoint& p) {
   return o;
 }
 
-/// Shared memo of per-section emulations. The first worker to request a key
-/// computes it; concurrent requesters block on its future. Values are
-/// computed from the *canonical* point, so the cache contents are
-/// independent of the order in which workers arrive.
-class SectionMemo {
- public:
-  explicit SectionMemo(const PredictOptions& base) : base_(base) {}
-
-  Cycles get(const tree::CompiledTree& ct, std::uint32_t section,
-             const MemoKey& key, const SweepPoint& cpoint) {
-    std::shared_future<Cycles> fut;
-    std::promise<Cycles> prom;
-    bool owner = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++lookups_;
-      auto [it, inserted] = map_.try_emplace(key);
-      if (inserted) {
-        owner = true;
-        it->second = prom.get_future().share();
-        ++evals_;
-      } else {
-        ++hits_;
-        fut = it->second;
-      }
-    }
-    if (!owner) return fut.get();
-    try {
-      const Cycles v = predict_section_cycles(
-          ct, section, cpoint.threads, options_for(base_, cpoint));
-      prom.set_value(v);
-      return v;
-    } catch (...) {
-      prom.set_exception(std::current_exception());
-      throw;
-    }
-  }
-
-  std::size_t lookups() const { return lookups_; }
-  std::size_t hits() const { return hits_; }
-  std::size_t evals() const { return evals_; }
-
- private:
-  const PredictOptions& base_;
-  std::mutex mu_;
-  std::unordered_map<MemoKey, std::shared_future<Cycles>, MemoKeyHash> map_;
-  std::size_t lookups_ = 0;
-  std::size_t hits_ = 0;
-  std::size_t evals_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Batched path: instead of memoizing per-point emulations behind futures,
-// enumerate the unique canonical sub-problems up front, group the FF and
-// Suitability ones into per-section point blocks for the batched evaluators
-// (emul/ff.hpp), and hand workers whole blocks. Every value lands in a
-// pre-assigned slot, so workers share nothing but the job counter; memo
-// statistics (lookups / hits / evals) are computed from the same dedup the
-// scalar path performs, keeping every cross-path stats invariant intact.
-// ---------------------------------------------------------------------------
-
-/// One unit of worker work on the batched path. FF/Suitability jobs carry a
-/// block of grid points against one representative section; methods without
-/// a batched evaluator (Synthesizer, GroundTruth) ride along as single-point
-/// scalar jobs so the whole sweep still drains through one pool.
+/// One unit of worker work. FF/Suitability jobs carry a block of grid
+/// points against one representative section; methods without a batched
+/// evaluator (Synthesizer, GroundTruth) ride along as single-point scalar
+/// jobs so the whole sweep still drains through one pool.
 struct BatchedJob {
   Method method = Method::Synthesizer;
   std::uint32_t section = 0;  ///< representative section for the digest
@@ -169,10 +107,61 @@ struct BatchedJob {
   SweepPoint cpoint;                ///< scalar jobs: the canonical point
 };
 
-SweepResult sweep_points_batched(const tree::CompiledTree& compiled,
-                                 std::span<const SweepPoint> points,
-                                 const PredictOptions& base,
-                                 const SweepOptions& options) {
+}  // namespace
+
+std::vector<SweepPoint> SweepGrid::points() const {
+  std::vector<SweepPoint> out;
+  out.reserve(size());
+  for (const Method m : methods) {
+    for (const Paradigm p : paradigms) {
+      for (const runtime::OmpSchedule s : schedules) {
+        for (const std::uint64_t c : chunks) {
+          for (const bool mm : memory_models) {
+            for (const CoreCount t : thread_counts) {
+              out.push_back(SweepPoint{m, p, s, c, t, mm});
+            }
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+SweepResult sweep(const tree::ProgramTree& tree, const SweepGrid& grid,
+                  const SweepOptions& options) {
+  const std::vector<SweepPoint> pts = grid.points();
+  return sweep_points(tree, pts, grid.base, options);
+}
+
+SweepResult sweep(const tree::CompiledTree& compiled, const SweepGrid& grid,
+                  const SweepOptions& options) {
+  const std::vector<SweepPoint> pts = grid.points();
+  return sweep_points(compiled, pts, grid.base, options);
+}
+
+SweepResult sweep_points(const tree::ProgramTree& tree,
+                         std::span<const SweepPoint> points,
+                         const PredictOptions& base,
+                         const SweepOptions& options) {
+  if (!tree.root) throw std::invalid_argument("sweep: empty tree");
+  return sweep_points(tree::CompiledTree::compile(tree), points, base,
+                      options);
+}
+
+SweepResult sweep_points(const tree::CompiledTree& compiled,
+                         std::span<const SweepPoint> points,
+                         const PredictOptions& base,
+                         const SweepOptions& options) {
+  for (const SweepPoint& p : points) {
+    if (p.threads == 0) throw std::invalid_argument("sweep: zero threads");
+  }
+  // DES jobs on several workers would record into one Timeline at once, and
+  // the batched evaluators record no spans at all.
+  if (base.timeline != nullptr) {
+    throw std::invalid_argument("sweep: timeline recording is predict-only");
+  }
+
   const auto t0 = std::chrono::steady_clock::now();
   SweepResult result;
   result.cells.resize(points.size());
@@ -183,8 +172,7 @@ SweepResult sweep_points_batched(const tree::CompiledTree& compiled,
   const std::uint32_t nsec = compiled.section_count();
 
   // 1. Deduplicate (cell × section) into unique canonical sub-problems, in
-  //    first-occurrence order — the same dedup SectionMemo performs, done
-  //    eagerly. Slot indices replace futures.
+  //    first-occurrence order. Each gets a result slot.
   struct SlotInfo {
     std::uint32_t section = 0;
     SweepPoint cpoint;
@@ -248,36 +236,6 @@ SweepResult sweep_points_batched(const tree::CompiledTree& compiled,
     }
   }
 
-  // 3. Honor the block-size cap, splitting oversized blocks. Results are
-  //    slot-addressed, so any split is value-preserving.
-  if (options.block_points > 0) {
-    std::vector<BatchedJob> split;
-    for (BatchedJob& job : jobs) {
-      const std::size_t n = job.slots.size();
-      if (n <= options.block_points ||
-          (job.method != Method::FastForward &&
-           job.method != Method::Suitability)) {
-        split.push_back(std::move(job));
-        continue;
-      }
-      for (std::size_t off = 0; off < n; off += options.block_points) {
-        const std::size_t end = std::min(n, off + options.block_points);
-        BatchedJob part;
-        part.method = job.method;
-        part.section = job.section;
-        for (std::size_t k = off; k < end; ++k) {
-          if (job.method == Method::FastForward) {
-            part.block.push_back(job.block.at(k));
-          } else {
-            part.threads.push_back(job.threads[k]);
-          }
-          part.slots.push_back(job.slots[k]);
-        }
-        split.push_back(std::move(part));
-      }
-    }
-    jobs = std::move(split);
-  }
   for (const BatchedJob& job : jobs) {
     if (job.method == Method::FastForward ||
         job.method == Method::Suitability) {
@@ -286,7 +244,7 @@ SweepResult sweep_points_batched(const tree::CompiledTree& compiled,
     }
   }
 
-  // 4. Drain jobs through the pool. Each job writes only its own slots.
+  // 3. Drain jobs through the pool. Each job writes only its own slots.
   std::vector<Cycles> values(slot_info.size(), 0);
   const auto run_job = [&](const BatchedJob& job) {
     if (job.method == Method::FastForward) {
@@ -302,21 +260,22 @@ SweepResult sweep_points_batched(const tree::CompiledTree& compiled,
         values[job.slots[k]] = out[k];
       }
     } else {
-      PredictOptions o = options_for(base, job.cpoint);
-      o.engine_path = EnginePath::Scalar;  // no batched evaluator to reach
       values[job.slots[0]] = predict_section_cycles(
-          compiled, job.section, job.cpoint.threads, o);
+          compiled, job.section, job.cpoint.threads,
+          options_for(base, job.cpoint));
     }
   };
 
-  // Worker count follows the grid (as on the scalar path, and as asserted
-  // by tests), not the usually-smaller job count.
+  // Worker count follows the grid (as asserted by tests), not the
+  // usually-smaller job count.
   std::size_t workers =
       options.workers != 0
           ? options.workers
           : std::max(1u, std::thread::hardware_concurrency());
   workers = std::min(workers, points.size());
 
+  // Remaining-jobs sample at each dequeue: the timer's min/mean/max gives
+  // the queue-depth profile over the run (max == job count at start).
   const auto note_depth = [&](std::size_t i) {
     if (obs::enabled()) {
       static obs::Timer& depth =
@@ -327,6 +286,8 @@ SweepResult sweep_points_batched(const tree::CompiledTree& compiled,
 
   obs::TraceSink* sink = obs::TraceSink::current();
   result.stats.worker_wall_ms.assign(std::max<std::size_t>(workers, 1), 0.0);
+  // Per-worker wall timing and (optionally) one trace span per worker. Each
+  // worker writes only its own pre-sized slot, so no synchronization.
   const auto timed = [&](std::size_t w, const auto& body) {
     const auto w0 = std::chrono::steady_clock::now();
     const std::uint64_t span_start = sink != nullptr ? sink->now_us() : 0;
@@ -377,8 +338,8 @@ SweepResult sweep_points_batched(const tree::CompiledTree& compiled,
     if (first_error) std::rethrow_exception(first_error);
   }
 
-  // 5. Assemble cells from the slot table — the same §IV-E composition the
-  //    scalar path performs per cell.
+  // 4. Assemble cells from the slot table — the §IV-E composition
+  //    core::predict performs.
   for (std::size_t i = 0; i < points.size(); ++i) {
     Cycles parallel = u_cycles;
     for (std::uint32_t s = 0; s < nsec; ++s) {
@@ -395,8 +356,8 @@ SweepResult sweep_points_batched(const tree::CompiledTree& compiled,
         static_cast<double>(cell.estimate.parallel_cycles);
   }
 
-  // The scalar path's memo counters, computed from the same dedup: every
-  // (cell × section) pair is a lookup; unique sub-problems are evals.
+  // Memo counters from the dedup: every (cell × section) pair is a lookup;
+  // unique sub-problems are evals.
   result.stats.section_lookups = points.size() * nsec;
   result.stats.section_evals = slot_info.size();
   result.stats.cache_hits =
@@ -406,196 +367,6 @@ SweepResult sweep_points_batched(const tree::CompiledTree& compiled,
                              std::chrono::steady_clock::now() - t0)
                              .count();
   if (obs::enabled()) {
-    auto& reg = obs::MetricsRegistry::global();
-    reg.counter("sweep.runs").add(1);
-    reg.counter("sweep.grid_points").add(result.stats.grid_points);
-    reg.counter("sweep.memo.lookups").add(result.stats.section_lookups);
-    reg.counter("sweep.memo.hits").add(result.stats.cache_hits);
-    reg.counter("sweep.memo.evals").add(result.stats.section_evals);
-    reg.counter("sweep.batched.blocks").add(result.stats.batched_blocks);
-    reg.counter("sweep.batched.points").add(result.stats.batched_points);
-    reg.gauge("sweep.workers").set(static_cast<double>(workers));
-    reg.gauge("sweep.wall_ms").set(result.stats.wall_ms);
-    auto& wt = reg.timer("sweep.worker_wall_us");
-    for (const double ms : result.stats.worker_wall_ms) {
-      wt.record(static_cast<std::uint64_t>(ms * 1000.0));
-    }
-  }
-  return result;
-}
-
-}  // namespace
-
-std::vector<SweepPoint> SweepGrid::points() const {
-  std::vector<SweepPoint> out;
-  out.reserve(size());
-  for (const Method m : methods) {
-    for (const Paradigm p : paradigms) {
-      for (const runtime::OmpSchedule s : schedules) {
-        for (const std::uint64_t c : chunks) {
-          for (const bool mm : memory_models) {
-            for (const CoreCount t : thread_counts) {
-              out.push_back(SweepPoint{m, p, s, c, t, mm});
-            }
-          }
-        }
-      }
-    }
-  }
-  return out;
-}
-
-SweepResult sweep(const tree::ProgramTree& tree, const SweepGrid& grid,
-                  const SweepOptions& options) {
-  const std::vector<SweepPoint> pts = grid.points();
-  return sweep_points(tree, pts, grid.base, options);
-}
-
-SweepResult sweep(const tree::CompiledTree& compiled, const SweepGrid& grid,
-                  const SweepOptions& options) {
-  const std::vector<SweepPoint> pts = grid.points();
-  return sweep_points(compiled, pts, grid.base, options);
-}
-
-SweepResult sweep_points(const tree::ProgramTree& tree,
-                         std::span<const SweepPoint> points,
-                         const PredictOptions& base,
-                         const SweepOptions& options) {
-  if (!tree.root) throw std::invalid_argument("sweep: empty tree");
-  return sweep_points(tree::CompiledTree::compile(tree), points, base,
-                      options);
-}
-
-SweepResult sweep_points(const tree::CompiledTree& compiled,
-                         std::span<const SweepPoint> points,
-                         const PredictOptions& base,
-                         const SweepOptions& options) {
-  for (const SweepPoint& p : points) {
-    if (p.threads == 0) throw std::invalid_argument("sweep: zero threads");
-  }
-
-  // Auto routes sweeps through the batched evaluators — this is the call
-  // site they exist for. Timeline recording forces the scalar engines (the
-  // batched ones coarsen steps and record no spans).
-  if (base.engine_path != EnginePath::Scalar && base.timeline == nullptr) {
-    return sweep_points_batched(compiled, points, base, options);
-  }
-
-  const auto t0 = std::chrono::steady_clock::now();
-  SweepResult result;
-  result.cells.resize(points.size());
-  result.stats.grid_points = points.size();
-
-  // The per-cell composition shares the serial denominator and the summed
-  // top-level U glue: neither depends on the grid point.
-  const Cycles serial = compiled.serial_cycles();
-  const Cycles u_cycles = compiled.top_u_cycles();
-
-  SectionMemo memo(base);
-  const auto evaluate_cell = [&](std::size_t idx) {
-    const SweepPoint& p = points[idx];
-    const SweepPoint cp = canonical(p);
-    Cycles parallel = u_cycles;
-    for (std::uint32_t s = 0; s < compiled.section_count(); ++s) {
-      MemoKey key;
-      key.section_digest = compiled.section_digest(s);
-      key.method = cp.method;
-      key.paradigm = cp.paradigm;
-      key.schedule = cp.schedule;
-      key.chunk = cp.chunk;
-      key.threads = cp.threads;
-      key.memory_model = cp.memory_model;
-      parallel += memo.get(compiled, s, key, cp) *
-                  compiled.repeat(compiled.section_node(s));
-    }
-    SweepCell& cell = result.cells[idx];
-    cell.point = p;
-    cell.estimate.threads = p.threads;
-    cell.estimate.serial_cycles = serial;
-    cell.estimate.parallel_cycles = parallel == 0 ? 1 : parallel;
-    cell.estimate.speedup =
-        static_cast<double>(cell.estimate.serial_cycles) /
-        static_cast<double>(cell.estimate.parallel_cycles);
-  };
-
-  std::size_t workers = options.workers != 0
-                            ? options.workers
-                            : std::max(1u, std::thread::hardware_concurrency());
-  workers = std::min(workers, points.size());
-
-  // Remaining-cells sample at each dequeue: the timer's min/mean/max gives
-  // the queue-depth profile over the run (max == grid size at start).
-  const auto note_depth = [&](std::size_t i) {
-    if (obs::enabled()) {
-      static obs::Timer& depth =
-          obs::MetricsRegistry::global().timer("sweep.queue.depth");
-      depth.record(points.size() - i);
-    }
-  };
-
-  obs::TraceSink* sink = obs::TraceSink::current();
-  result.stats.worker_wall_ms.assign(std::max<std::size_t>(workers, 1), 0.0);
-  // Per-worker wall timing and (optionally) one trace span per worker. Each
-  // worker writes only its own pre-sized slot, so no synchronization.
-  const auto timed = [&](std::size_t w, const auto& body) {
-    const auto w0 = std::chrono::steady_clock::now();
-    const std::uint64_t span_start = sink != nullptr ? sink->now_us() : 0;
-    body();
-    result.stats.worker_wall_ms[w] =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - w0)
-            .count();
-    if (sink != nullptr) {
-      sink->complete("sweep worker " + std::to_string(w), "sweep",
-                     obs::kPidPipeline, static_cast<std::uint32_t>(w + 1),
-                     span_start, sink->now_us() - span_start,
-                     {obs::arg_num("worker", static_cast<std::uint64_t>(w))});
-    }
-  };
-
-  if (workers <= 1) {
-    timed(0, [&] {
-      for (std::size_t i = 0; i < points.size(); ++i) {
-        note_depth(i);
-        evaluate_cell(i);
-      }
-    });
-  } else {
-    std::atomic<std::size_t> next{0};
-    std::mutex err_mu;
-    std::exception_ptr first_error;
-    const auto drain = [&](std::size_t w) {
-      timed(w, [&] {
-        try {
-          for (;;) {
-            const std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= points.size()) return;
-            note_depth(i);
-            evaluate_cell(i);
-          }
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(err_mu);
-          if (!first_error) first_error = std::current_exception();
-        }
-      });
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(drain, w);
-    for (std::thread& th : pool) th.join();
-    if (first_error) std::rethrow_exception(first_error);
-  }
-
-  result.stats.section_lookups = memo.lookups();
-  result.stats.cache_hits = memo.hits();
-  result.stats.section_evals = memo.evals();
-  result.stats.workers = workers;
-  result.stats.wall_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
-  if (obs::enabled()) {
     // Mirror SweepStats into the registry so `--metrics` output matches the
     // engine's own accounting exactly (asserted in tests/obs).
     auto& reg = obs::MetricsRegistry::global();
@@ -604,6 +375,8 @@ SweepResult sweep_points(const tree::CompiledTree& compiled,
     reg.counter("sweep.memo.lookups").add(result.stats.section_lookups);
     reg.counter("sweep.memo.hits").add(result.stats.cache_hits);
     reg.counter("sweep.memo.evals").add(result.stats.section_evals);
+    reg.counter("sweep.batched.blocks").add(result.stats.batched_blocks);
+    reg.counter("sweep.batched.points").add(result.stats.batched_points);
     reg.gauge("sweep.workers").set(static_cast<double>(workers));
     reg.gauge("sweep.wall_ms").set(result.stats.wall_ms);
     auto& wt = reg.timer("sweep.worker_wall_us");

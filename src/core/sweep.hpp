@@ -81,8 +81,8 @@ struct SweepStats {
   std::size_t cache_hits = 0;       ///< lookups served from the memo
   std::size_t section_evals = 0;    ///< unique sub-problems actually emulated
   std::size_t workers = 0;
-  /// Batched-path accounting (zero on the scalar path): point blocks
-  /// dispatched to the batched evaluators and the grid points they carried.
+  /// Point blocks dispatched to the batched FF/Suitability evaluators and
+  /// the grid points they carried.
   std::size_t batched_blocks = 0;
   std::size_t batched_points = 0;
   double wall_ms = 0.0;
@@ -108,10 +108,6 @@ struct SweepOptions {
   /// Worker threads for the pool; 0 = std::thread::hardware_concurrency().
   /// Results are identical for any value.
   std::size_t workers = 0;
-  /// Batched path only: maximum points per dispatched PointBlock; 0 = one
-  /// block per (section, method) group. Results are identical for any value
-  /// (smaller blocks just spread one section's grid over more workers).
-  std::size_t block_points = 0;
 };
 
 /// Evaluates every point of `grid` against `tree`. Equivalent to (and
@@ -119,13 +115,14 @@ struct SweepOptions {
 /// tree once; use the CompiledTree overload to amortize compilation across
 /// multiple sweeps (as the serve daemon does).
 ///
-/// Engine path: `grid.base.engine_path` (core::EngineOptions) selects the
-/// evaluation machinery. Auto and Batched route FF/Suitability sub-problems
-/// through the batched evaluators (emul::FfSectionBatch) in per-section
-/// point blocks; Scalar — or any sweep recording a timeline — evaluates
-/// every sub-problem with the per-point engines. Cells and memo statistics
-/// are bit-identical either way (tests/property/test_batched_equivalence.cpp);
-/// SweepStats::batched_* shows which path ran. See docs/SWEEP.md.
+/// One evaluation path: the grid is deduplicated into unique per-section
+/// sub-problems, FF/Suitability ones are priced in per-section point blocks
+/// by the batched evaluators (emul::FfSectionBatch), and SYN/Real ones by
+/// predict_section_cycles. Cells are bit-identical to a per-point predict()
+/// (tests/property/test_batched_equivalence.cpp). Throws
+/// std::invalid_argument on a zero thread count or a non-null
+/// `base.timeline` (timelines are recorded by predict() only). See
+/// docs/SWEEP.md.
 SweepResult sweep(const tree::ProgramTree& tree, const SweepGrid& grid,
                   const SweepOptions& options = {});
 SweepResult sweep(const tree::CompiledTree& compiled, const SweepGrid& grid,

@@ -443,15 +443,16 @@ std::uint64_t beta_bits_of(double beta) {
   return bits;
 }
 
-/// The batched engine for one section over a tree view. Builds the segment
-/// program once; evaluate() prices grid points against it.
-template <class View>
-class BatchEngine {
-  using NodeRef = typename View::NodeRef;
+}  // namespace
+
+/// The batched engine for one compiled section. Builds the segment program
+/// once; evaluate() prices grid points against it.
+class FfSectionBatch::Impl {
+  using View = runtime::FlatTreeView;
+  using NodeRef = tree::NodeId;
 
  public:
-  BatchEngine(const View& view, NodeRef sec,
-              const runtime::OmpOverheads& overheads)
+  Impl(const View& view, NodeRef sec, const runtime::OmpOverheads& overheads)
       : view_(view), sec_(sec), ov_(overheads) {
     build_sub(sec);
     len_d_.resize(segs_.size());
@@ -559,7 +560,6 @@ class BatchEngine {
     const std::uint32_t idx = static_cast<std::uint32_t>(subs_.size());
     subs_.emplace_back();
     std::vector<std::pair<std::uint32_t, std::uint64_t>> local_runs;
-    bool tasks_flat = true;
     const std::uint32_t nruns = view_.run_count(sec);
     local_runs.reserve(nruns);
     for (std::uint32_t r = 0; r < nruns; ++r) {
@@ -567,9 +567,7 @@ class BatchEngine {
       if (view_.kind(tnode) != NodeKind::Task) {
         throw std::invalid_argument("FfSectionBatch: Sec child is not a Task");
       }
-      const std::uint32_t t = build_task(tnode);
-      tasks_flat = tasks_flat && tasks_[t].flat;
-      local_runs.emplace_back(t, view_.repeat(tnode));
+      local_runs.emplace_back(build_task(tnode), view_.repeat(tnode));
     }
     BSub s;
     s.run_begin = static_cast<std::uint32_t>(runs_.size());
@@ -580,12 +578,7 @@ class BatchEngine {
     }
     s.run_end = static_cast<std::uint32_t>(runs_.size());
     s.trips = cum;
-    s.tasks_flat = tasks_flat;
-    // Compiled trees carry the classification precomputed (block layout);
-    // it is identical to the derived value by construction.
-    if (const tree::SecBlockFlags* f = view_.block_flags(sec)) {
-      s.tasks_flat = f->tasks_flat != 0;
-    }
+    s.tasks_flat = view_.block_flags(sec).tasks_flat != 0;
     subs_[idx] = s;
     return idx;
   }
@@ -1106,8 +1099,6 @@ class BatchEngine {
   const ScaledTab* g_scaled_ = nullptr;
 };
 
-}  // namespace
-
 FfResult emulate_ff_section(const tree::Node& sec, const FfConfig& cfg) {
   if (sec.kind() != NodeKind::Sec) {
     throw std::invalid_argument("emulate_ff_section: node is not a Sec");
@@ -1175,50 +1166,14 @@ FfResult emulate_ff(const tree::CompiledTree& ct, const FfConfig& cfg) {
   return total;
 }
 
-// ---------------------------------------------------------------------------
-// FfSectionBatch: thin type-erasing shell over BatchEngine<View>.
-// ---------------------------------------------------------------------------
-
-struct FfSectionBatch::Impl {
-  virtual ~Impl() = default;
-  virtual Cycles evaluate(const BlockPoint& p) = 0;
-  virtual const FfSectionBatch::Stats& stats() const = 0;
-};
-
-namespace {
-
-template <class View>
-struct BatchImpl final : FfSectionBatch::Impl {
-  BatchEngine<View> engine;
-
-  BatchImpl(const View& view, typename View::NodeRef sec,
-            const runtime::OmpOverheads& overheads)
-      : engine(view, sec, overheads) {}
-  Cycles evaluate(const BlockPoint& p) override { return engine.evaluate(p); }
-  const FfSectionBatch::Stats& stats() const override {
-    return engine.stats();
-  }
-};
-
-}  // namespace
-
 FfSectionBatch::FfSectionBatch(const tree::CompiledTree& ct,
                                std::uint32_t section,
                                const runtime::OmpOverheads& overheads) {
   if (section >= ct.section_count()) {
     throw std::invalid_argument("FfSectionBatch: section out of range");
   }
-  impl_ = std::make_unique<BatchImpl<runtime::FlatTreeView>>(
-      runtime::FlatTreeView{&ct}, ct.section_node(section), overheads);
-}
-
-FfSectionBatch::FfSectionBatch(const tree::Node& sec,
-                               const runtime::OmpOverheads& overheads) {
-  if (sec.kind() != NodeKind::Sec) {
-    throw std::invalid_argument("FfSectionBatch: node is not a Sec");
-  }
-  impl_ = std::make_unique<BatchImpl<runtime::PtrTreeView>>(
-      runtime::PtrTreeView{}, &sec, overheads);
+  impl_ = std::make_unique<Impl>(runtime::FlatTreeView{&ct},
+                                 ct.section_node(section), overheads);
 }
 
 FfSectionBatch::~FfSectionBatch() = default;

@@ -141,11 +141,8 @@ struct PointBlock {
 /// expects). Not thread-safe; use one instance per worker.
 class FfSectionBatch {
  public:
-  /// Over a compiled tree (the hot path). `ct` must outlive the batch.
+  /// Section `section` of `ct`, which must outlive the batch.
   FfSectionBatch(const tree::CompiledTree& ct, std::uint32_t section,
-                 const runtime::OmpOverheads& overheads);
-  /// Over the pointer tree (reference path). `sec` must outlive the batch.
-  FfSectionBatch(const tree::Node& sec,
                  const runtime::OmpOverheads& overheads);
   ~FfSectionBatch();
   FfSectionBatch(FfSectionBatch&&) noexcept;
@@ -169,11 +166,8 @@ class FfSectionBatch {
   };
   const Stats& stats() const;
 
-  /// Type-erased engine (one instantiation per tree view); public only so
-  /// the .cpp can derive the per-view implementations from it.
-  struct Impl;
-
  private:
+  class Impl;
   std::unique_ptr<Impl> impl_;
 };
 

@@ -58,10 +58,6 @@ SuitabilitySectionBatch::SuitabilitySectionBatch(const tree::CompiledTree& ct,
                                                  const SuitabilityConfig& cfg)
     : batch_(ct, section, suitability_ff_config(cfg).overheads) {}
 
-SuitabilitySectionBatch::SuitabilitySectionBatch(const tree::Node& sec,
-                                                 const SuitabilityConfig& cfg)
-    : batch_(sec, suitability_ff_config(cfg).overheads) {}
-
 Cycles SuitabilitySectionBatch::evaluate(CoreCount threads) {
   return batch_.evaluate(suitability_point(threads));
 }

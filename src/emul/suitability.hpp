@@ -59,8 +59,6 @@ class SuitabilitySectionBatch {
  public:
   SuitabilitySectionBatch(const tree::CompiledTree& ct, std::uint32_t section,
                           const SuitabilityConfig& cfg = {});
-  explicit SuitabilitySectionBatch(const tree::Node& sec,
-                                   const SuitabilityConfig& cfg = {});
 
   /// Projected parallel duration of one section repetition on `threads`.
   Cycles evaluate(CoreCount threads);

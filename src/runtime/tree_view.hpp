@@ -74,18 +74,6 @@ struct PtrTreeView {
     return sec->counters();
   }
 
-  // Block-friendly run iteration: the batched evaluator walks a Sec's
-  // physical Task children (RLE runs) instead of logical iterations.
-  std::uint32_t run_count(NodeRef sec) const {
-    return static_cast<std::uint32_t>(sec->children().size());
-  }
-  NodeRef run_task(NodeRef sec, std::uint32_t r) const {
-    return sec->children()[r].get();
-  }
-  /// No precomputed classification on the pointer path — the batched
-  /// builder derives it from the children it walks anyway.
-  const tree::SecBlockFlags* block_flags(NodeRef) const { return nullptr; }
-
   LockTable make_lock_table() const { return LockTable{}; }
   Cycles& lock_cell(LockTable& t, NodeRef l) const { return t[l->lock_id()]; }
 };
@@ -129,13 +117,16 @@ struct FlatTreeView {
     return s == tree::kNoSection ? nullptr : ct->section_counters(s);
   }
 
+  // Block-friendly run iteration for the batched evaluator (emul/ff.cpp,
+  // compiled view only): a Sec's physical Task children (RLE runs) instead
+  // of logical iterations, plus its precomputed block-layout flags.
   std::uint32_t run_count(NodeRef sec) const {
     return ct->tasks_of(sec).run_count();
   }
   NodeRef run_task(NodeRef sec, std::uint32_t r) const {
     return ct->tasks_of(sec).run_task(r);
   }
-  const tree::SecBlockFlags* block_flags(NodeRef sec) const {
+  const tree::SecBlockFlags& block_flags(NodeRef sec) const {
     return ct->sec_block_flags(sec);
   }
 

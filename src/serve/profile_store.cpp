@@ -31,13 +31,13 @@ ProfileStore::PutResult ProfileStore::put(const std::string& pptb_bytes) {
   auto entry = std::make_shared<Entry>();
   entry->key = key;
   entry->packed = tree::from_binary(pptb_bytes);
-  auto unpacked =
-      std::make_shared<tree::ProgramTree>(tree::unpack(entry->packed));
-  entry->nodes = unpacked->node_count();
-  entry->serial_cycles = unpacked->total_serial_cycles();
-  entry->compiled = std::make_shared<const tree::CompiledTree>(
-      tree::CompiledTree::compile(*unpacked));
-  entry->unpacked = std::move(unpacked);
+  {
+    const tree::ProgramTree unpacked = tree::unpack(entry->packed);
+    entry->nodes = unpacked.node_count();
+    entry->serial_cycles = unpacked.total_serial_cycles();
+    entry->compiled = std::make_shared<const tree::CompiledTree>(
+        tree::CompiledTree::compile(unpacked));
+  }
   entry->upload_bytes = pptb_bytes.size();
 
   std::unique_lock lock(shard.mu);

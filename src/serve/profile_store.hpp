@@ -1,11 +1,11 @@
 // Content-addressed profile store: clients upload PPTB binary trees once
-// and refer to them by hash key in every subsequent predict/sweep/recommend
+// and refer to them by hash key in every subsequent predict/sweep/advise
 // request — the "profile once, predict many times" half of docs/SERVE.md.
 //
 // The key is a 128-bit FNV-1a over the exact uploaded bytes, so uploads are
 // idempotent: re-uploading the same profile is a cheap dedupe hit, and two
 // clients that profiled the same build independently converge on one stored
-// tree. Each entry keeps the expanded ProgramTree (shared, read-only — the
+// tree. Each entry keeps the compiled tree (shared, read-only — the
 // emulators only read trees) so requests never re-parse.
 //
 // Trust assumption: FNV-1a is NOT collision-resistant against an adversary.
@@ -44,8 +44,6 @@ class ProfileStore {
   struct Entry {
     std::string key;
     tree::PackedTree packed;  ///< for per-request mutation (burden annotation)
-    /// Expanded tree shared by every concurrent read-only prediction.
-    std::shared_ptr<const tree::ProgramTree> unpacked;
     /// Flat compiled form (tree::CompiledTree), built once at upload so
     /// every cache-missing request sweeps over the arrays directly. Its
     /// tree_digest() is also the result-cache key prefix: two uploads whose

@@ -11,7 +11,6 @@
 
 #include "core/advise.hpp"
 #include "core/machine_sweep.hpp"
-#include "core/recommend.hpp"
 #include "machine/presets.hpp"
 #include "memmodel/burden.hpp"
 #include "memmodel/calibration.hpp"
@@ -232,8 +231,8 @@ JsonValue candidate_json(const core::Candidate& c) {
   JsonValue v;
   v.set("paradigm", JsonValue(wire_name(c.paradigm)));
   v.set("schedule", JsonValue(wire_name(c.schedule)));
-  // Emitted only off the default so pre-chunk recommend responses stay
-  // byte-identical (the v2 interop pin in tests/serve/test_server.cpp).
+  // Emitted only off the default so chunk-less responses stay
+  // byte-identical (the interop pins in tests/serve).
   if (c.chunk != 1) v.set("chunk", JsonValue(c.chunk));
   v.set("threads", JsonValue(static_cast<std::uint64_t>(c.threads)));
   v.set("speedup", JsonValue(c.speedup));
@@ -290,21 +289,20 @@ JsonValue metrics_json(const obs::MetricsSnapshot& snap) {
 /// vocabulary on purpose: a hostile op name must not mint unbounded metric
 /// names in the registry.
 const char* op_kind(const std::string& op) {
-  if (op == "upload" || op == "predict" || op == "sweep" ||
-      op == "recommend" || op == "advise" || op == "ping" || op == "stats" ||
-      op == "sleep") {
+  if (op == "upload" || op == "predict" || op == "sweep" || op == "advise" ||
+      op == "ping" || op == "stats" || op == "sleep") {
     return op.c_str();
   }
   return "other";
 }
 
 /// Load-shedding classification: ops that can hold a worker for a long
-/// stretch (grid sweeps, recommendation scans, the debug sleep — and any
+/// stretch (grid sweeps, advisor searches, the debug sleep — and any
 /// grid op that asks for the memory-model or machine-preset paths, which
 /// re-expand and annotate the tree) shed at the queue's high watermark;
 /// cheap ops keep being admitted until the queue is actually full.
 bool is_expensive_op(const std::string& op, const JsonValue& request) {
-  if (op == "sweep" || op == "recommend" || op == "advise" || op == "sleep") {
+  if (op == "sweep" || op == "advise" || op == "sleep") {
     return true;
   }
   if (request.find("machines") != nullptr) return true;
@@ -729,7 +727,6 @@ JsonValue Server::handle(const JsonValue& request, const std::string& op,
                          RequestTrace* trace) {
   if (op == "upload") return handle_upload(request);
   if (op == "predict" || op == "sweep") return handle_grid_op(request, op, trace);
-  if (op == "recommend") return handle_recommend(request, trace);
   if (op == "advise") return handle_advise(request, trace);
   if (op == "sleep" && config_.debug_ops) return handle_sleep(request);
   throw BadRequest("unknown op '" + op + "'");
@@ -870,94 +867,6 @@ JsonValue Server::handle_grid_op(const JsonValue& request,
   return r;
 }
 
-JsonValue Server::handle_recommend(const JsonValue& request,
-                                   RequestTrace* trace) {
-  const JsonValue* key = request.find("key");
-  if (key == nullptr || !key->is_string()) {
-    throw BadRequest("recommend: missing string field 'key'");
-  }
-  const auto entry = store_.find(key->as_string());
-  if (entry == nullptr) {
-    return error_response("recommend", kErrNotFound,
-                          "no stored tree under key " + key->as_string());
-  }
-  core::RecommendOptions ro;
-  ro.base = report::paper_options(core::Method::Synthesizer);
-  const std::vector<std::uint64_t> threads =
-      parse_u64_list(request, "threads", "threads", {2, 4, 6, 8, 10, 12});
-  ro.thread_counts.clear();
-  for (const std::uint64_t t : threads) {
-    ro.thread_counts.push_back(static_cast<CoreCount>(t));
-  }
-  CoreCount cores = config_.default_cores;
-  if (const JsonValue* v = request.find("cores")) {
-    const std::uint64_t n = v->as_u64();
-    if (n == 0) throw BadRequest("cores: must be positive");
-    cores = static_cast<CoreCount>(n);
-  }
-  ro.base.machine.cores = cores;
-  bool memory_model = false;
-  if (const JsonValue* v = request.find("memory_model")) {
-    memory_model = v->as_bool();
-  }
-  ro.base.memory_model = memory_model;
-  if (const JsonValue* v = request.find("efficiency_knee")) {
-    ro.efficiency_knee = v->as_double();
-  }
-
-  JsonValue canonical;
-  JsonValue::Array tlist;
-  for (const auto t : ro.thread_counts) {
-    tlist.emplace_back(static_cast<std::uint64_t>(t));
-  }
-  canonical.set("threads", JsonValue(std::move(tlist)));
-  canonical.set("cores", JsonValue(static_cast<std::uint64_t>(cores)));
-  canonical.set("memory_model", JsonValue(memory_model));
-  canonical.set("efficiency_knee", JsonValue(ro.efficiency_knee));
-  const std::string cache_key = digest_hex(entry->compiled->tree_digest()) +
-                                "|recommend|" + json_dump(canonical);
-
-  JsonValue r = ok_response("recommend");
-  if (auto hit = cache_->get(cache_key)) {
-    metrics_.counter("serve.cache.hits").add(1);
-    if (trace != nullptr) trace->cache = 1;
-    r.set("cached", JsonValue(true));
-    r.set("result", json_parse(*hit));
-    return r;
-  }
-  metrics_.counter("serve.cache.misses").add(1);
-  if (trace != nullptr) trace->cache = 0;
-
-  core::Recommendation rec;
-  try {
-    if (memory_model) {
-      tree::ProgramTree fresh = tree::unpack(entry->packed);
-      memmodel::CalibrationOptions copts;
-      copts.machine = ro.base.machine;
-      const memmodel::BurdenModel model(memmodel::calibrate(copts));
-      memmodel::annotate_burdens(fresh, model, ro.thread_counts);
-      rec = core::recommend(fresh, ro);
-    } else {
-      rec = core::recommend(*entry->compiled, ro);
-    }
-  } catch (const std::invalid_argument& e) {
-    throw BadRequest(std::string("recommend: ") + e.what());
-  }
-
-  JsonValue result;
-  result.set("best", candidate_json(rec.best));
-  result.set("economical", candidate_json(rec.economical));
-  JsonValue::Array sweep;
-  sweep.reserve(rec.sweep.size());
-  for (const core::Candidate& c : rec.sweep) sweep.push_back(candidate_json(c));
-  result.set("sweep", JsonValue(std::move(sweep)));
-
-  cache_->put(cache_key, json_dump(result));
-  r.set("cached", JsonValue(false));
-  r.set("result", std::move(result));
-  return r;
-}
-
 JsonValue Server::handle_advise(const JsonValue& request,
                                 RequestTrace* trace) {
   const JsonValue* key = request.find("key");
@@ -977,7 +886,7 @@ JsonValue Server::handle_advise(const JsonValue& request,
   for (const std::uint64_t t : threads) {
     ao.grid.thread_counts.push_back(static_cast<CoreCount>(t));
   }
-  ao.grid.chunks.clear();  // sweep with the base chunk, as recommend does
+  ao.grid.chunks.clear();  // sweep with the base chunk
   CoreCount cores = config_.default_cores;
   if (const JsonValue* v = request.find("cores")) {
     const std::uint64_t n = v->as_u64();

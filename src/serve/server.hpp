@@ -1,5 +1,5 @@
 // The prediction service daemon (`pprophet serve`): a socket server
-// answering upload / predict / sweep / recommend / stats requests against a
+// answering upload / predict / sweep / advise / stats requests against a
 // content-addressed ProfileStore, fronted by a sharded LRU ResultCache and
 // executed on a bounded worker pool.
 //
@@ -17,7 +17,7 @@
 //    trying to diagnose.
 //
 // Backpressure is tiered: when the admission queue reaches its high
-// watermark, expensive ops (sweep / recommend — anything that can hold a
+// watermark, expensive ops (sweep / advise — anything that can hold a
 // worker for seconds) are shed first with `overloaded` + `"tier":
 // "expensive"`; cheap ops (upload / predict) are still admitted until the
 // queue is actually full (`"tier":"full"`). The daemon never queues
@@ -187,7 +187,6 @@ class Server {
   JsonValue handle_upload(const JsonValue& request);
   JsonValue handle_grid_op(const JsonValue& request, const std::string& op,
                            RequestTrace* trace);
-  JsonValue handle_recommend(const JsonValue& request, RequestTrace* trace);
   JsonValue handle_advise(const JsonValue& request, RequestTrace* trace);
   JsonValue handle_sleep(const JsonValue& request);
   JsonValue handle_stats() const;

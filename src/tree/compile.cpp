@@ -66,11 +66,6 @@ CompiledTree::TaskTable CompiledTree::tasks_of(NodeId sec) const {
   return TaskTable{this, t.offset, t.runs, t.trips};
 }
 
-const SecBlockFlags* CompiledTree::sec_block_flags(NodeId sec) const {
-  if (!has_block_layout_) return nullptr;
-  return &sec_flags_[table_idx_[sec]];
-}
-
 double CompiledTree::section_burden(std::uint32_t s, CoreCount threads) const {
   for (const auto& [t, beta] : sections_[s].burdens) {
     if (t == threads) return beta;
@@ -79,11 +74,6 @@ double CompiledTree::section_burden(std::uint32_t s, CoreCount threads) const {
 }
 
 CompiledTree CompiledTree::compile(const ProgramTree& tree) {
-  return compile(tree, CompileOptions{});
-}
-
-CompiledTree CompiledTree::compile(const ProgramTree& tree,
-                                   const CompileOptions& options) {
   if (!tree.root) bad_tree("empty tree");
   if (tree.root->kind() != NodeKind::Root) bad_tree("root is not a Root node");
   const std::size_t total = tree.root->subtree_size();
@@ -165,40 +155,37 @@ CompiledTree CompiledTree::compile(const ProgramTree& tree,
 
   // Block layout: per-Sec classification flags for the batched emulator
   // (emul/ff.cpp). Derived data only — the digest pass below never reads
-  // it, so compiling with or without the layout yields identical digests.
-  if (options.block_layout) {
-    ct.has_block_layout_ = true;
-    ct.sec_flags_.assign(ct.tables_.size(), SecBlockFlags{});
-    struct SubFlags {
-      bool lock = false;
-      bool nested = false;
-    };
-    const auto scan = [&](auto&& self, NodeId n) -> SubFlags {
-      SubFlags f;
-      for (NodeId c = ct.first_child_[n]; c != kNoNode;
-           c = ct.next_sibling_[c]) {
-        const SubFlags cf = self(self, c);
-        f.lock = f.lock || cf.lock || ct.kinds_[c] == NodeKind::L;
-        f.nested = f.nested || cf.nested || ct.kinds_[c] == NodeKind::Sec;
-      }
-      if (ct.kinds_[n] == NodeKind::Sec) {
-        SecBlockFlags& out = ct.sec_flags_[ct.table_idx_[n]];
-        out.subtree_has_lock = f.lock ? 1 : 0;
-        out.subtree_has_nested = f.nested ? 1 : 0;
-        bool flat = true;
-        for (NodeId task = ct.first_child_[n]; task != kNoNode;
-             task = ct.next_sibling_[task]) {
-          for (NodeId c = ct.first_child_[task]; c != kNoNode;
-               c = ct.next_sibling_[c]) {
-            if (ct.kinds_[c] != NodeKind::U) flat = false;
-          }
+  // it.
+  ct.sec_flags_.assign(ct.tables_.size(), SecBlockFlags{});
+  struct SubFlags {
+    bool lock = false;
+    bool nested = false;
+  };
+  const auto scan = [&](auto&& self, NodeId n) -> SubFlags {
+    SubFlags f;
+    for (NodeId c = ct.first_child_[n]; c != kNoNode;
+         c = ct.next_sibling_[c]) {
+      const SubFlags cf = self(self, c);
+      f.lock = f.lock || cf.lock || ct.kinds_[c] == NodeKind::L;
+      f.nested = f.nested || cf.nested || ct.kinds_[c] == NodeKind::Sec;
+    }
+    if (ct.kinds_[n] == NodeKind::Sec) {
+      SecBlockFlags& out = ct.sec_flags_[ct.table_idx_[n]];
+      out.subtree_has_lock = f.lock ? 1 : 0;
+      out.subtree_has_nested = f.nested ? 1 : 0;
+      bool flat = true;
+      for (NodeId task = ct.first_child_[n]; task != kNoNode;
+           task = ct.next_sibling_[task]) {
+        for (NodeId c = ct.first_child_[task]; c != kNoNode;
+             c = ct.next_sibling_[c]) {
+          if (ct.kinds_[c] != NodeKind::U) flat = false;
         }
-        out.tasks_flat = flat ? 1 : 0;
       }
-      return f;
-    };
-    scan(scan, 0);
-  }
+      out.tasks_flat = flat ? 1 : 0;
+    }
+    return f;
+  };
+  scan(scan, 0);
 
   // Per-top-level-section digests and aggregates. The digest covers the
   // full semantic content of the section — everything any emulator reads —

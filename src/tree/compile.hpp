@@ -49,9 +49,8 @@ struct SectionAggregates {
 };
 
 /// Per-Sec classification flags for the batched emulator's block layout
-/// (docs/INTERNALS.md). Computed at compile time when
-/// CompileOptions::block_layout is on; purely derived data — never part of
-/// the section/tree digests (tests/tree/test_compile.cpp pins that).
+/// (docs/INTERNALS.md). Computed at compile time; purely derived data —
+/// never part of the section/tree digests.
 struct SecBlockFlags {
   std::uint8_t subtree_has_lock = 0;    ///< any L below this Sec
   std::uint8_t subtree_has_nested = 0;  ///< any nested Sec below this Sec
@@ -60,22 +59,12 @@ struct SecBlockFlags {
   std::uint8_t tasks_flat = 0;
 };
 
-/// Compilation knobs. The defaults match the historical one-argument
-/// compile(): block layout on.
-struct CompileOptions {
-  /// Build the per-Sec SecBlockFlags side table. Affects only derived
-  /// lookup tables; digests and emulation results are identical either way.
-  bool block_layout = true;
-};
-
 class CompiledTree {
  public:
   /// One-pass compilation. Enforces the tree/validate.hpp nesting rules
   /// (Root children ∈ {Sec,U}; Sec children ∈ {Task}; Task children ∈
   /// {U,L,Sec}; U/L leaves) and throws std::invalid_argument on violation.
   static CompiledTree compile(const ProgramTree& tree);
-  static CompiledTree compile(const ProgramTree& tree,
-                              const CompileOptions& options);
 
   // ---- node records (structure of arrays) ----
   std::uint32_t node_count() const {
@@ -121,10 +110,10 @@ class CompiledTree {
   /// Precondition: kind(sec) == NodeKind::Sec.
   TaskTable tasks_of(NodeId sec) const;
 
-  /// Block-layout classification of any Sec node, or nullptr when compiled
-  /// with CompileOptions::block_layout = false.
-  const SecBlockFlags* sec_block_flags(NodeId sec) const;
-  bool has_block_layout() const { return has_block_layout_; }
+  /// Block-layout classification of any Sec node.
+  const SecBlockFlags& sec_block_flags(NodeId sec) const {
+    return sec_flags_[table_idx_[sec]];
+  }
 
   // ---- top-level sections ----
   std::uint32_t section_count() const {
@@ -212,7 +201,6 @@ class CompiledTree {
   std::vector<std::uint64_t> run_cum_;  // shared cumulative-repeat array
   std::vector<NodeId> run_task_;        // shared task-id array
   std::vector<SecBlockFlags> sec_flags_;  // one per Sec node (block layout)
-  bool has_block_layout_ = false;
 
   std::vector<SectionInfo> sections_;
   std::size_t lock_count_ = 0;

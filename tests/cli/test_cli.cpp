@@ -42,6 +42,8 @@ class CliTest : public ::testing::Test {
 TEST_F(CliTest, ParseRejectsEmptyAndUnknown) {
   EXPECT_FALSE(parse({}).has_value());
   EXPECT_FALSE(parse({"frobnicate"}).has_value());
+  // The recommend subcommand is gone; advise covers it.
+  EXPECT_FALSE(parse({"recommend", "--tree", tree_path_}).has_value());
   EXPECT_FALSE(parse({"predict", "--tree", tree_path_, "--zap"}).has_value());
 }
 
@@ -167,21 +169,6 @@ TEST_F(CliTest, ParseRejectsBadValues) {
   EXPECT_FALSE(parse({"predict", "--tree", "t", "--cores", "-2"}));
   EXPECT_FALSE(parse({"predict", "--tree", "t", "--tolerance", "7"}));
   EXPECT_FALSE(parse({"predict", "--tree", "t", "--csv"}));  // missing value
-  EXPECT_FALSE(parse({"predict", "--tree", "t", "--engine-path", "simd"}));
-}
-
-TEST_F(CliTest, ParseEnginePathSpellings) {
-  EXPECT_EQ(parse({"predict", "--tree", "t"})->engine_path,
-            core::EnginePath::Auto);
-  EXPECT_EQ(parse({"predict", "--tree", "t", "--engine-path", "scalar"})
-                ->engine_path,
-            core::EnginePath::Scalar);
-  EXPECT_EQ(parse({"sweep", "--tree", "t", "--engine-path", "batched"})
-                ->engine_path,
-            core::EnginePath::Batched);
-  EXPECT_EQ(
-      parse({"sweep", "--tree", "t", "--engine-path", "auto"})->engine_path,
-      core::EnginePath::Auto);
 }
 
 TEST_F(CliTest, PredictProducesSpeedupTable) {
@@ -278,24 +265,6 @@ TEST_F(CliTest, MainImplEndToEnd) {
                         "--threads", "2"};
   EXPECT_EQ(main_impl(6, argv, out_, err_), 0);
   EXPECT_NE(out_.str().find("projected speedup"), std::string::npos);
-}
-
-TEST_F(CliTest, RecommendPrintsSweep) {
-  Options o;
-  o.command = "recommend";
-  o.tree_path = tree_path_;
-  o.threads = {2, 4};
-  EXPECT_EQ(run_cmd(o), 0);
-  const std::string s = out_.str();
-  EXPECT_NE(s.find("best:"), std::string::npos);
-  EXPECT_NE(s.find("economical:"), std::string::npos);
-  EXPECT_NE(s.find("efficiency"), std::string::npos);
-}
-
-TEST_F(CliTest, RecommendParsesAsCommand) {
-  const auto o = parse({"recommend", "--tree", tree_path_, "--threads", "2"});
-  ASSERT_TRUE(o.has_value());
-  EXPECT_EQ(o->command, "recommend");
 }
 
 TEST_F(CliTest, AdviseParsesTargetThreads) {
@@ -445,6 +414,7 @@ TEST_F(CliTest, SweepCsvRoutesStatsToStderr) {
   EXPECT_EQ(run_cmd(o), 0);
   // Diagnostics on stderr, results (table + wrote line) on stdout.
   EXPECT_NE(err_.str().find("memo hit rate"), std::string::npos);
+  EXPECT_NE(err_.str().find("batched block"), std::string::npos);
   EXPECT_EQ(out_.str().find("memo hit rate"), std::string::npos);
   EXPECT_NE(out_.str().find("wrote"), std::string::npos);
   std::remove(o.csv_path.c_str());
@@ -463,33 +433,6 @@ TEST_F(CliTest, SweepCsvDashStreamsToStdout) {
       << s;
   EXPECT_EQ(s.find("|"), std::string::npos);
   EXPECT_NE(err_.str().find("memo hit rate"), std::string::npos);
-}
-
-// End-to-end bit-identity at the CLI layer: the same sweep forced down the
-// scalar and the batched path streams byte-identical CSV.
-TEST_F(CliTest, SweepEnginePathsStreamIdenticalCsv) {
-  Options o;
-  o.command = "sweep";
-  o.tree_path = tree_path_;
-  o.methods = {core::Method::FastForward, core::Method::Suitability,
-               core::Method::Synthesizer};
-  o.schedules = {runtime::OmpSchedule::Dynamic,
-                 runtime::OmpSchedule::StaticCyclic};
-  o.threads = {2, 4};
-  o.csv_path = "-";
-
-  o.engine_path = core::EnginePath::Scalar;
-  EXPECT_EQ(run_cmd(o), 0);
-  const std::string scalar_csv = out_.str();
-  EXPECT_NE(err_.str().find("engine path scalar"), std::string::npos);
-
-  out_.str("");
-  err_.str("");
-  o.engine_path = core::EnginePath::Batched;
-  EXPECT_EQ(run_cmd(o), 0);
-  EXPECT_EQ(out_.str(), scalar_csv);
-  EXPECT_NE(err_.str().find("engine path batched"), std::string::npos);
-  EXPECT_NE(err_.str().find("batched block"), std::string::npos);
 }
 
 // --- robustness: every bad invocation is one clear line, nonzero exit ----
@@ -614,11 +557,6 @@ TEST_F(CliTest, ClientTalksToInProcessServer) {
   out_.str("");
   EXPECT_EQ(run_cmd(o), 0);
   EXPECT_NE(out_.str().find("sweep served from cache"), std::string::npos);
-
-  o.op = "recommend";
-  out_.str("");
-  EXPECT_EQ(run_cmd(o), 0);
-  EXPECT_NE(out_.str().find("best:"), std::string::npos);
 
   o.op = "advise";
   o.target_threads = 4;

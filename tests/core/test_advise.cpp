@@ -1,8 +1,8 @@
 // The causal what-if advisor (core/advise.hpp): critical-path profiles,
-// the configuration search that recommend() now wraps (field-for-field
-// equivalence on the Figure-5 worked example), the economical tie-break
-// rule, action soundness on the golden tree, and the memo accounting that
-// makes the edit search cheap.
+// the configuration search (every candidate equals predict() on the
+// Figure-5 worked example), the economical tie-break rule, action soundness
+// on the golden tree, and the memo accounting that makes the edit search
+// cheap.
 #include "core/advise.hpp"
 
 #include <gtest/gtest.h>
@@ -32,7 +32,7 @@ PredictOptions zero_overheads() {
   return o;
 }
 
-/// What the deprecated surface promises: the same numbers predict() gives
+/// What a candidate promises: the same numbers predict() gives
 /// for that configuration, from scratch.
 double fresh_speedup(const tree::ProgramTree& t, const Candidate& c,
                      const PredictOptions& base) {
@@ -93,43 +93,31 @@ TEST(CriticalPathProfile, ComputesWorkSpanAndLockCeilings) {
   EXPECT_DOUBLE_EQ(locked.parallelism, 1.0);
 }
 
-TEST(Advise, RecommendAdapterIsFieldForFieldEquivalentOnFigure5) {
+TEST(Advise, ConfigurationSearchMatchesPredictOnFigure5) {
   const tree::ProgramTree t = figure5_tree();
 
-  RecommendOptions ro;
-  ro.base = zero_overheads();
-  ro.thread_counts = {2, 4, 8};
-  const Recommendation rec = recommend(t, ro);
-
   AdviseOptions ao;
-  ao.base = ro.base;
-  static_cast<GridSpec&>(ao.grid) = static_cast<const GridSpec&>(ro);
-  ao.efficiency_knee = ro.efficiency_knee;
+  ao.base = zero_overheads();
+  ao.grid.thread_counts = {2, 4, 8};
+  ao.grid.chunks.clear();  // inherit base.chunk
   const Advice adv = advise_configurations(t, ao);
-  const Recommendation view = to_recommendation(adv);
-
-  ASSERT_EQ(rec.sweep.size(), view.sweep.size());
-  for (std::size_t i = 0; i < rec.sweep.size(); ++i) {
-    expect_candidates_equal(rec.sweep[i], view.sweep[i]);
-  }
-  expect_candidates_equal(rec.best, view.best);
-  expect_candidates_equal(rec.economical, view.economical);
+  const std::vector<Candidate>& configs = adv.configurations;
 
   // OpenMP enumerates every schedule; Cilk collapses to one entry per
   // thread count (its scheduler is not configurable).
-  EXPECT_EQ(rec.sweep.size(), (4u + 1u) * 3u);
+  EXPECT_EQ(configs.size(), (4u + 1u) * 3u);
   // Sorted by descending speedup, best at the front.
   EXPECT_TRUE(std::is_sorted(
-      rec.sweep.begin(), rec.sweep.end(),
+      configs.begin(), configs.end(),
       [](const Candidate& a, const Candidate& b) { return a.speedup > b.speedup; }));
-  expect_candidates_equal(rec.best, rec.sweep.front());
+  expect_candidates_equal(adv.best, configs.front());
 
   // Each candidate is exactly what predict() says for that configuration —
   // the memoized advisor path must not change a single value. The chunk
   // dimension stays inherited from the base options.
-  for (const Candidate& c : rec.sweep) {
-    EXPECT_EQ(c.chunk, ro.base.chunk);
-    EXPECT_DOUBLE_EQ(c.speedup, fresh_speedup(t, c, ro.base));
+  for (const Candidate& c : configs) {
+    EXPECT_EQ(c.chunk, ao.base.chunk);
+    EXPECT_DOUBLE_EQ(c.speedup, fresh_speedup(t, c, ao.base));
     EXPECT_DOUBLE_EQ(c.efficiency, c.speedup / c.threads);
   }
 }
@@ -145,10 +133,11 @@ TEST(Advise, EconomicalTieBreakPrefersFewestThreadsThenStaticBlock) {
   b.end_sec();
   const tree::ProgramTree t = b.finish();
 
-  RecommendOptions ro;
-  ro.base = zero_overheads();
-  ro.thread_counts = {2, 4, 8};
-  const Recommendation rec = recommend(t, ro);
+  AdviseOptions ao;
+  ao.base = zero_overheads();
+  ao.grid.thread_counts = {2, 4, 8};
+  ao.grid.chunks.clear();
+  const Advice rec = advise_configurations(t, ao);
 
   EXPECT_DOUBLE_EQ(rec.best.speedup, rec.economical.speedup);
   EXPECT_EQ(rec.economical.threads, 2u);
@@ -249,17 +238,12 @@ TEST(Advise, EmptySweepDimensionThrows) {
   EXPECT_THROW(advise(t, no_schedules), std::invalid_argument);
 }
 
-TEST(GridSpec, SharedDefaultsAndConsumerShims) {
+TEST(GridSpec, SharedDefaultsAndSweepGridDefaults) {
   const GridSpec g;
   EXPECT_EQ(g.thread_counts, (std::vector<CoreCount>{2, 4, 6, 8, 10, 12}));
   EXPECT_EQ(g.paradigms.size(), 2u);
   EXPECT_EQ(g.schedules.size(), 4u);
   EXPECT_EQ(g.chunks, (std::vector<std::uint64_t>{1}));
-
-  // recommend(): no chunk axis — empty means "inherit base.chunk".
-  const RecommendOptions ro;
-  EXPECT_TRUE(ro.chunks.empty());
-  EXPECT_EQ(ro.thread_counts, g.thread_counts);
 
   // sweep(): historical defaults predate the shared spec and must not move.
   const SweepGrid sg;
@@ -268,10 +252,6 @@ TEST(GridSpec, SharedDefaultsAndConsumerShims) {
   EXPECT_EQ(sg.schedules, (std::vector<runtime::OmpSchedule>{
                               runtime::OmpSchedule::StaticCyclic}));
   EXPECT_EQ(sg.chunks, (std::vector<std::uint64_t>{1}));
-
-  // Both are the same spec underneath — a GridSpec& views either.
-  const GridSpec& upcast = ro;
-  EXPECT_TRUE(upcast.chunks.empty());
 }
 
 }  // namespace

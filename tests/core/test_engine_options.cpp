@@ -1,80 +1,26 @@
 // EngineOptions is the single source of engine configuration: both
-// PredictOptions and ProphetConfig embed it, and the historical flat
-// spelling (`o.schedule`) must alias the explicit spelling
-// (`o.engine().schedule`) exactly — same field, both structs.
+// PredictOptions and ProphetConfig embed it, so the engine block copies
+// between the two structs as one unit.
 #include <gtest/gtest.h>
 
 #include "core/pipeline.hpp"
 #include "core/prophet.hpp"
-#include "report/experiment.hpp"
-#include "tree/builder.hpp"
 
 namespace pprophet::core {
 namespace {
-
-tree::ProgramTree small_tree() {
-  tree::TreeBuilder b;
-  b.begin_sec("s");
-  for (int t = 0; t < 4; ++t) {
-    b.begin_task("t");
-    b.u(5'000);
-    b.end_task();
-  }
-  b.end_sec();
-  return b.finish();
-}
-
-TEST(EngineOptions, FlatAndEngineSpellingsAliasOneField) {
-  PredictOptions o;
-  o.schedule = runtime::OmpSchedule::Dynamic;
-  o.chunk = 7;
-  o.memory_model = true;
-  o.machine.cores = 24;
-  EXPECT_EQ(o.engine().schedule, runtime::OmpSchedule::Dynamic);
-  EXPECT_EQ(o.engine().chunk, 7u);
-  EXPECT_TRUE(o.engine().memory_model);
-  EXPECT_EQ(o.engine().machine.cores, 24u);
-
-  // Writes through the explicit spelling land on the flat members too.
-  o.engine().schedule = runtime::OmpSchedule::Guided;
-  o.engine().chunk = 2;
-  o.engine().omp_overheads.fork_base = 123;
-  EXPECT_EQ(o.schedule, runtime::OmpSchedule::Guided);
-  EXPECT_EQ(o.chunk, 2u);
-  EXPECT_EQ(o.omp_overheads.fork_base, 123u);
-}
 
 TEST(EngineOptions, ProphetConfigSharesTheSameBase) {
   ProphetConfig c;
   // ProphetConfig defaults: simulated Westmere with the memory model on.
   EXPECT_TRUE(c.memory_model);
-  EXPECT_TRUE(c.engine().memory_model);
-  c.engine().schedule = runtime::OmpSchedule::StaticBlock;
-  EXPECT_EQ(c.schedule, runtime::OmpSchedule::StaticBlock);
+  c.schedule = runtime::OmpSchedule::StaticBlock;
 
   // The whole engine block copies as one unit between the two structs.
   PredictOptions o;
-  o.engine() = c.engine();
+  static_cast<EngineOptions&>(o) = c;
   EXPECT_EQ(o.schedule, runtime::OmpSchedule::StaticBlock);
   EXPECT_TRUE(o.memory_model);
   EXPECT_EQ(o.machine.cores, c.machine.cores);
-}
-
-TEST(EngineOptions, BothSpellingsDriveIdenticalPredictions) {
-  const tree::ProgramTree t = small_tree();
-  PredictOptions flat = report::paper_options(Method::FastForward);
-  flat.schedule = runtime::OmpSchedule::Dynamic;
-  flat.chunk = 2;
-
-  PredictOptions explicit_spelling = report::paper_options(Method::FastForward);
-  explicit_spelling.engine().schedule = runtime::OmpSchedule::Dynamic;
-  explicit_spelling.engine().chunk = 2;
-
-  const SpeedupEstimate a = predict(t, 4, flat);
-  const SpeedupEstimate b = predict(t, 4, explicit_spelling);
-  EXPECT_EQ(a.parallel_cycles, b.parallel_cycles);
-  EXPECT_EQ(a.serial_cycles, b.serial_cycles);
-  EXPECT_EQ(a.speedup, b.speedup);
 }
 
 }  // namespace

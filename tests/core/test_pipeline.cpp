@@ -64,7 +64,7 @@ TEST(ProphetPipeline, AnalyzeProducesCurvesAndAdvice) {
     EXPECT_NEAR(r.ff[i].speedup, r.synth[i].speedup,
                 0.25 * r.synth[i].speedup);
   }
-  EXPECT_GE(r.recommendation.best.speedup, r.synth.back().speedup * 0.9);
+  EXPECT_GE(r.advice.best.speedup, r.synth.back().speedup * 0.9);
   EXPECT_GE(r.max_burden, 1.0);
 }
 

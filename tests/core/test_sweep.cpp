@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "machine/timeline.hpp"
 #include "tree/builder.hpp"
 
 namespace pprophet::core {
@@ -209,6 +210,12 @@ TEST(Sweep, RejectsBadInputs) {
   grid.thread_counts = {4, 0};
   EXPECT_THROW(sweep(t, grid, {}), std::invalid_argument);
   EXPECT_THROW(sweep(ProgramTree{}, wide_grid(), {}), std::invalid_argument);
+  // Timelines are predict-only: concurrent sweep jobs would share one.
+  machine::Timeline timeline;
+  SweepGrid traced = wide_grid();
+  traced.base.timeline = &timeline;
+  EXPECT_THROW(sweep(t, traced, {}), std::invalid_argument);
+  EXPECT_TRUE(timeline.spans().empty());
 }
 
 TEST(Sweep, GridExpansionIsRowMajorAndComplete) {

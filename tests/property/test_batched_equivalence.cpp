@@ -1,8 +1,8 @@
-// Differential harness for the batched evaluation path (ISSUE 6): the
-// batched FF/Suitability evaluators and the batched sweep routing must be
-// bit-identical to the scalar engines on random trees, across method ×
-// paradigm × schedule × chunk × thread count × block size — including block
-// sizes that do not divide the grid and degenerate 1-point blocks.
+// Differential harness for the batched evaluation path: the batched
+// FF/Suitability evaluators and core::sweep_points must be bit-identical to
+// the scalar engines on random trees, across method × paradigm × schedule ×
+// chunk × thread count × memory model — including block sizes that do not
+// divide the grid and degenerate 1-point blocks.
 //
 // Failures print the generator seed (PPROPHET_TEST_SEED replays it) and a
 // dump of the offending tree via seed_trace().
@@ -21,7 +21,6 @@
 namespace pprophet::emul {
 namespace {
 
-using core::EnginePath;
 using runtime::OmpSchedule;
 using tree::CompiledTree;
 using tree::ProgramTree;
@@ -59,8 +58,7 @@ TEST_P(BatchedEquivalence, FfSectionMatchesScalarOnBothViews) {
   std::uint32_t s = 0;
   for (const auto& child : t.root->children()) {
     if (child->kind() != tree::NodeKind::Sec) continue;
-    FfSectionBatch batch_ct(ct, s, ov);
-    FfSectionBatch batch_ptr(*child, ov);
+    FfSectionBatch batch(ct, s, ov);
     for (const OmpSchedule sched : kSchedules) {
       for (const CoreCount threads : kThreads) {
         for (const std::uint64_t chunk : kChunks) {
@@ -77,10 +75,9 @@ TEST_P(BatchedEquivalence, FfSectionMatchesScalarOnBothViews) {
                 emulate_ff_section(*child, cfg).parallel_cycles;
             ASSERT_EQ(scalar, scalar_ptr);
             const BlockPoint p{threads, sched, chunk, burden};
-            ASSERT_EQ(batch_ct.evaluate(p), scalar)
+            ASSERT_EQ(batch.evaluate(p), scalar)
                 << "sched=" << static_cast<int>(sched) << " t=" << threads
                 << " chunk=" << chunk << " burden=" << burden;
-            ASSERT_EQ(batch_ptr.evaluate(p), scalar);
           }
         }
       }
@@ -147,8 +144,7 @@ TEST_P(BatchedEquivalence, SuitabilitySectionMatchesScalar) {
   std::uint32_t s = 0;
   for (const auto& child : t.root->children()) {
     if (child->kind() != tree::NodeKind::Sec) continue;
-    SuitabilitySectionBatch batch_ct(ct, s);
-    SuitabilitySectionBatch batch_ptr(*child);
+    SuitabilitySectionBatch batch(ct, s);
     SuitabilityConfig cfg;
     for (const CoreCount threads : kThreads) {
       cfg.num_threads = threads;
@@ -156,57 +152,16 @@ TEST_P(BatchedEquivalence, SuitabilitySectionMatchesScalar) {
           emulate_suitability_section(ct, s, cfg).parallel_cycles;
       ASSERT_EQ(scalar,
                 emulate_suitability_section(*child, cfg).parallel_cycles);
-      ASSERT_EQ(batch_ct.evaluate(threads), scalar) << "t=" << threads;
-      ASSERT_EQ(batch_ptr.evaluate(threads), scalar) << "t=" << threads;
+      ASSERT_EQ(batch.evaluate(threads), scalar) << "t=" << threads;
     }
     ++s;
   }
 }
 
-TEST_P(BatchedEquivalence, PredictBatchedMatchesScalarAcrossMethods) {
-  const std::uint64_t seed = tree::property_seed(GetParam());
-  const ProgramTree t = burdened_random_tree(seed);
-  SCOPED_TRACE(tree::seed_trace(seed, t));
-  const CompiledTree ct = CompiledTree::compile(t);
-
-  for (const core::Method method :
-       {core::Method::FastForward, core::Method::Suitability,
-        core::Method::Synthesizer, core::Method::GroundTruth}) {
-    for (const core::Paradigm paradigm :
-         {core::Paradigm::OpenMP, core::Paradigm::CilkPlus}) {
-      for (const OmpSchedule sched : kSchedules) {
-        for (const CoreCount threads : {2, 5}) {
-          for (const bool mm : {false, true}) {
-            core::PredictOptions o;
-            o.method = method;
-            o.paradigm = paradigm;
-            o.schedule = sched;
-            o.chunk = 2;
-            o.memory_model = mm;
-            o.engine_path = EnginePath::Scalar;
-            const core::SpeedupEstimate scalar = core::predict(ct, threads, o);
-            o.engine_path = EnginePath::Batched;
-            const core::SpeedupEstimate batched =
-                core::predict(ct, threads, o);
-            ASSERT_EQ(scalar.parallel_cycles, batched.parallel_cycles)
-                << "method=" << static_cast<int>(method)
-                << " paradigm=" << static_cast<int>(paradigm)
-                << " sched=" << static_cast<int>(sched) << " t=" << threads
-                << " mm=" << mm;
-            ASSERT_EQ(scalar.serial_cycles, batched.serial_cycles);
-            ASSERT_EQ(scalar.speedup, batched.speedup);
-            // The pointer-tree overload honors the engine path too.
-            const core::SpeedupEstimate batched_ptr =
-                core::predict(t, threads, o);
-            ASSERT_EQ(scalar.parallel_cycles, batched_ptr.parallel_cycles);
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST_P(BatchedEquivalence, SweepBatchedMatchesScalarBitForBit) {
+TEST_P(BatchedEquivalence, SweepMatchesPerPointPredict) {
+  // The sweep's one evaluation path (dedup, batched FF/Suitability point
+  // blocks, scalar SYN/Real jobs) against a plain per-point core::predict,
+  // which runs the scalar engines only.
   const std::uint64_t seed = tree::property_seed(GetParam());
   const ProgramTree t = burdened_random_tree(seed);
   SCOPED_TRACE(tree::seed_trace(seed, t));
@@ -215,42 +170,40 @@ TEST_P(BatchedEquivalence, SweepBatchedMatchesScalarBitForBit) {
   core::SweepGrid grid;
   grid.methods = {core::Method::FastForward, core::Method::Suitability,
                   core::Method::Synthesizer, core::Method::GroundTruth};
+  grid.paradigms = {core::Paradigm::OpenMP, core::Paradigm::CilkPlus};
   grid.schedules = {OmpSchedule::StaticCyclic, OmpSchedule::Dynamic,
                     OmpSchedule::Guided};
-  grid.thread_counts = {1, 2, 4, 7};
+  grid.chunks = {2};
+  grid.thread_counts = {1, 2, 5, 7};
   grid.memory_models = {false, true};
   grid.base.machine.cores = 8;
 
-  core::SweepOptions scalar_opts;
-  scalar_opts.workers = 2;
-  grid.base.engine_path = EnginePath::Scalar;
-  const core::SweepResult scalar = core::sweep(ct, grid, scalar_opts);
-
-  // Batched with block sizes that do and do not divide the job count, plus
-  // unbounded (0) and degenerate 1-point blocks.
-  grid.base.engine_path = EnginePath::Batched;
-  for (const std::size_t block_points : {std::size_t{0}, std::size_t{1},
-                                         std::size_t{7}, std::size_t{64}}) {
-    core::SweepOptions bopts;
-    bopts.workers = 2;
-    bopts.block_points = block_points;
-    const core::SweepResult batched = core::sweep(ct, grid, bopts);
-    ASSERT_EQ(scalar.cells.size(), batched.cells.size());
-    for (std::size_t i = 0; i < scalar.cells.size(); ++i) {
-      ASSERT_EQ(scalar.cells[i].estimate.parallel_cycles,
-                batched.cells[i].estimate.parallel_cycles)
-          << "cell=" << i << " block_points=" << block_points;
-      ASSERT_EQ(scalar.cells[i].estimate.serial_cycles,
-                batched.cells[i].estimate.serial_cycles);
-      ASSERT_EQ(scalar.cells[i].estimate.speedup,
-                batched.cells[i].estimate.speedup);
-    }
-    // The memo invariants the scalar path maintains hold unchanged.
-    EXPECT_EQ(batched.stats.section_lookups,
-              scalar.stats.section_lookups);
-    EXPECT_EQ(batched.stats.section_lookups,
-              batched.stats.cache_hits + batched.stats.section_evals);
-    EXPECT_GT(batched.stats.batched_points, 0u);
+  core::SweepOptions opts;
+  opts.workers = 2;
+  const core::SweepResult swept = core::sweep(ct, grid, opts);
+  ASSERT_EQ(swept.cells.size(), grid.size());
+  for (std::size_t i = 0; i < swept.cells.size(); ++i) {
+    const core::SweepPoint& p = swept.cells[i].point;
+    core::PredictOptions o = grid.base;
+    o.method = p.method;
+    o.paradigm = p.paradigm;
+    o.schedule = p.schedule;
+    o.chunk = p.chunk;
+    o.memory_model = p.memory_model;
+    const core::SpeedupEstimate want = core::predict(ct, p.threads, o);
+    const core::SpeedupEstimate& got = swept.cells[i].estimate;
+    ASSERT_EQ(got.parallel_cycles, want.parallel_cycles)
+        << "cell=" << i << " method=" << static_cast<int>(p.method)
+        << " paradigm=" << static_cast<int>(p.paradigm)
+        << " sched=" << static_cast<int>(p.schedule) << " t=" << p.threads
+        << " mm=" << p.memory_model;
+    ASSERT_EQ(got.serial_cycles, want.serial_cycles);
+    ASSERT_EQ(got.speedup, want.speedup);
+  }
+  EXPECT_EQ(swept.stats.section_lookups,
+            swept.stats.cache_hits + swept.stats.section_evals);
+  if (ct.section_count() > 0) {
+    EXPECT_GT(swept.stats.batched_points, 0u);
   }
 }
 

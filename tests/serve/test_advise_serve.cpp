@@ -1,6 +1,6 @@
 // Serve-path coverage for the v2 "advise" op: full result shape, result
-// caching by tree digest, wire compatibility of the recommend response it
-// supersedes, and the not_found path.
+// caching by tree digest, the chunk-less candidate wire shape, and the
+// not_found path.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -97,22 +97,18 @@ TEST(AdviseServe, FullResultShapeAndDigestKeyedCache) {
   server.stop();
 }
 
-TEST(AdviseServe, RecommendWireShapeStaysByteCompatible) {
+TEST(AdviseServe, CandidatesOmitTheDefaultChunk) {
   Server server(advise_config("compat"));
   server.start();
   Client c;
   c.connect(server.config().socket_path);
   const std::string key = c.upload(sample_pptb());
 
-  JsonValue rec;
-  rec.set("op", JsonValue("recommend"));
-  rec.set("key", JsonValue(key));
-  rec.set("threads", JsonValue(JsonValue::Array{JsonValue(2), JsonValue(4)}));
-  const JsonValue resp = c.call(rec);
+  const JsonValue resp = c.call(advise_request(key));
   ASSERT_TRUE(resp.at("ok").as_bool()) << json_dump(resp);
-  // recommend never swept a chunk axis, so the grown Candidate::chunk field
-  // must not leak into v1 responses: candidates carry exactly the pre-API
-  // keys. (Advise responses, a v2 surface, may grow fields freely.)
+  // The configuration search sweeps no chunk axis, so Candidate::chunk is
+  // the default and stays off the wire: candidates carry exactly the
+  // chunk-less keys.
   const JsonValue& best = resp.at("result").at("best");
   EXPECT_EQ(best.find("chunk"), nullptr);
   for (const JsonValue& cand : resp.at("result").at("sweep").as_array()) {

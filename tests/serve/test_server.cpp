@@ -324,7 +324,7 @@ TEST_F(ServerTest, ConcurrentSweepsBitIdenticalToInProcessAndCached) {
   server.stop();
 }
 
-TEST_F(ServerTest, PredictAndRecommendRoundTrip) {
+TEST_F(ServerTest, PredictRoundTripAndRecommendIsUnknown) {
   Server server(base_config("predict"));
   server.start();
   Client c;
@@ -344,18 +344,19 @@ TEST_F(ServerTest, PredictAndRecommendRoundTrip) {
     EXPECT_GT(cell.at("speedup").as_double(), 0.0);
   }
 
+  // The recommend op is gone (advise supersedes it): a well-formed request
+  // for it is an unknown op.
   JsonValue rec;
   rec.set("op", JsonValue("recommend"));
   rec.set("key", JsonValue(key));
   rec.set("threads", JsonValue(JsonValue::Array{JsonValue(2), JsonValue(4),
                                                 JsonValue(8)}));
   const JsonValue rresp = c.call(rec);
-  ASSERT_TRUE(rresp.at("ok").as_bool()) << json_dump(rresp);
-  const JsonValue& best = rresp.at("result").at("best");
-  EXPECT_GE(best.at("speedup").as_double(),
-            rresp.at("result").at("economical").at("speedup").as_double() *
-                0.99);
-  EXPECT_FALSE(rresp.at("result").at("sweep").as_array().empty());
+  EXPECT_FALSE(rresp.at("ok").as_bool());
+  EXPECT_EQ(rresp.at("error").as_string(), kErrBadRequest);
+  EXPECT_NE(rresp.at("message").as_string().find("unknown op"),
+            std::string::npos)
+      << json_dump(rresp);
 
   // The memory-model variant runs against a private tree expansion and must
   // not corrupt the shared stored tree for later plain requests.
@@ -529,17 +530,39 @@ int raw_connect(const std::string& path) {
   return fd;
 }
 
-// A request that was fully received (buffered on the connection) but not yet
-// read when the drain begins is answered `shutting_down`, not dropped.
+/// Polls the server's stats until `ready` holds, so tests order events on
+/// observed server state instead of on sleeps. False after a generous
+/// timeout (the caller's assertion then fails instead of hanging).
+template <class Ready>
+bool wait_for_state(const Server& server, Ready ready) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!ready(server.stats())) {
+    if (std::chrono::steady_clock::now() > give_up) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+double inflight(const ServerStatsSnapshot& s) {
+  for (const auto& [name, v] : s.metrics.gauges) {
+    if (name == "serve.inflight") return v;
+  }
+  return 0.0;
+}
+
+// A request that reaches an open connection after the drain began is
+// answered `shutting_down`, not dropped, while a request admitted before the
+// drain runs to completion.
 TEST_F(ServerTest, BufferedRequestDuringDrainGetsShuttingDown) {
   ServerConfig cfg = base_config("drainbuf");
   cfg.workers = 1;
   Server server(cfg);
   server.start();
 
-  // Occupy the single worker so the raw client's first frame parks its
-  // connection thread on a queued future, leaving the second frame sitting
-  // unread in the socket buffer when the drain begins.
+  // Occupy the single worker so the raw client's first frame stays queued
+  // — and its connection open through the drain — while the second frame
+  // arrives.
   Client busy;
   busy.connect(cfg.socket_path);
   JsonValue busy_resp;
@@ -549,7 +572,9 @@ TEST_F(ServerTest, BufferedRequestDuringDrainGetsShuttingDown) {
     r.set("ms", JsonValue(400));
     busy_resp = busy.call(r);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ASSERT_TRUE(wait_for_state(server, [](const ServerStatsSnapshot& s) {
+    return inflight(s) == 1.0;
+  }));
 
   const int fd = raw_connect(cfg.socket_path);
   ASSERT_GE(fd, 0);
@@ -557,16 +582,20 @@ TEST_F(ServerTest, BufferedRequestDuringDrainGetsShuttingDown) {
   sleep0.set("op", JsonValue("sleep"));
   sleep0.set("ms", JsonValue(0));
   write_frame(fd, json_dump(sleep0));  // admitted, queued behind `busy`
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  write_frame(fd, json_dump(sleep0));  // buffered: connection thread is busy
+  ASSERT_TRUE(wait_for_state(server, [](const ServerStatsSnapshot& s) {
+    return s.queue_depth == 1;
+  }));
 
   server.request_shutdown();
+  // The queue is closed once request_shutdown returns, and the connection
+  // still owes frame 1's response, so it keeps reading.
+  write_frame(fd, json_dump(sleep0));
 
   // Frame 1 was admitted before the drain: it runs to completion.
   std::string payload;
   ASSERT_TRUE(read_frame(fd, payload));
   EXPECT_TRUE(json_parse(payload).at("ok").as_bool()) << payload;
-  // Frame 2 was only buffered: the drain answers it with shutting_down.
+  // Frame 2 arrived after the drain began: it is answered shutting_down.
   ASSERT_TRUE(read_frame(fd, payload));
   const JsonValue second = json_parse(payload);
   EXPECT_FALSE(second.at("ok").as_bool());

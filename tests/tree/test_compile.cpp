@@ -254,11 +254,9 @@ TEST(CompiledTree, BlockFlagsMatchNaiveScan) {
   for (const unsigned seed : {63u, 64u, 65u}) {
     const ProgramTree t = random_tree(seed);
     const CompiledTree ct = CompiledTree::compile(t);
-    ASSERT_TRUE(ct.has_block_layout());
     for (NodeId n = 0; n < ct.node_count(); ++n) {
       if (ct.kind(n) != NodeKind::Sec) continue;
-      const SecBlockFlags* f = ct.sec_block_flags(n);
-      ASSERT_NE(f, nullptr) << "sec " << n;
+      const SecBlockFlags& f = ct.sec_block_flags(n);
       // Reference: recursive scan over the compiled arrays.
       bool has_lock = false, has_nested = false;
       const std::function<void(NodeId)> scan = [&](NodeId x) {
@@ -278,35 +276,10 @@ TEST(CompiledTree, BlockFlagsMatchNaiveScan) {
           if (ct.kind(c) != NodeKind::U) flat = false;
         }
       }
-      EXPECT_EQ(f->subtree_has_lock != 0, has_lock) << "sec " << n;
-      EXPECT_EQ(f->subtree_has_nested != 0, has_nested) << "sec " << n;
-      EXPECT_EQ(f->tasks_flat != 0, flat) << "sec " << n;
+      EXPECT_EQ(f.subtree_has_lock != 0, has_lock) << "sec " << n;
+      EXPECT_EQ(f.subtree_has_nested != 0, has_nested) << "sec " << n;
+      EXPECT_EQ(f.tasks_flat != 0, flat) << "sec " << n;
     }
-  }
-}
-
-// The block-layout side tables are derived data: compiling with and without
-// them must produce identical digests (they key the sweep memo and the serve
-// daemon's content store — a layout-dependent digest would fork the caches).
-TEST(CompiledTree, BlockLayoutNeverAffectsDigests) {
-  for (const unsigned seed : {71u, 72u, 73u}) {
-    const ProgramTree t = random_tree(seed);
-    CompileOptions with, without;
-    with.block_layout = true;
-    without.block_layout = false;
-    const CompiledTree con = CompiledTree::compile(t, with);
-    const CompiledTree coff = CompiledTree::compile(t, without);
-
-    EXPECT_TRUE(con.has_block_layout());
-    EXPECT_FALSE(coff.has_block_layout());
-    EXPECT_EQ(con.tree_digest(), coff.tree_digest()) << seed;
-    ASSERT_EQ(con.section_count(), coff.section_count());
-    for (std::uint32_t s = 0; s < con.section_count(); ++s) {
-      EXPECT_EQ(con.section_digest(s), coff.section_digest(s)) << seed;
-      EXPECT_EQ(coff.sec_block_flags(con.section_node(s)), nullptr);
-    }
-    // The default single-argument compile() keeps the layout on.
-    EXPECT_TRUE(CompiledTree::compile(t).has_block_layout());
   }
 }
 

@@ -6,15 +6,17 @@
 #   tools/ci_matrix.sh [sanitizer ...]     # default: address undefined
 #
 # Per sanitizer (own build tree, build-ci-<san>):
-#   - `ctest -L 'batched|concurrency'` — the scalar-vs-batched differential
-#     harness (tests/property/test_batched_equivalence.cpp) plus every suite
+#   - `ctest -L 'batched|concurrency'` — the differential harness that pins
+#     the batched FF/Suitability evaluators and the sweep's one evaluation
+#     path to the scalar engines and per-point predict
+#     (tests/property/test_batched_equivalence.cpp) plus every suite
 #     that drives the sweep worker pool, the memo, the metrics registry and
 #     the serve daemon.
 #   - `ctest -L perf` — the self-checking benches. Under ctest they run in
 #     smoke mode (PP_SMOKE=1, wired in bench/CMakeLists.txt): reduced grid,
 #     one sample, so the bit-identity gates — pointer vs compiled vs sweep,
-#     scalar vs batched engine path — still run on every PR without paying
-#     for representative timings. Run the binaries directly for real
+#     batched sweep vs per-point predict — still run on every PR without
+#     paying for representative timings. Run the binaries directly for real
 #     BENCH_*.json numbers.
 #   - `ctest -L reuse -LE perf` — the reuse-distance memory model
 #     (docs/MEMMODEL.md): collector exactness vs brute-force stack

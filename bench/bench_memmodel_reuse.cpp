@@ -4,9 +4,13 @@
 // full cache-simulation replay per preset. Reports, per preset, the
 // model-vs-simulation MPI error, and the cost of the single collected pass
 // (+ projections) against N replay passes. Gates both contracts in-process
-// (≤10% relative MPI error on at least 3 of the 5 presets, ≥2x cost
-// reduction) and exits nonzero on violation, so it doubles as a ctest
-// (labels: perf, reuse).
+// (≤10% relative MPI error on at least 3 of the 5 presets, ≥2x less work)
+// and exits nonzero on violation, so it doubles as a ctest (labels: perf,
+// reuse). The cost gate counts work, not time, so it is exact on any host:
+// cache-simulator line lookups of the N replays against those of the one
+// profiled pass, plus the lines the reuse collector processed, plus the
+// histogram buckets the projections evaluated. Wall-clock timings are
+// reported for information only.
 // Writes BENCH_reuse.json. PP_SMOKE=1 shrinks the kernel; the gates still
 // run.
 #include <chrono>
@@ -54,6 +58,26 @@ Mpi section_mpi(const tree::ProgramTree& t) {
     }
   }
   return m;
+}
+
+/// Histogram buckets project_tree walks to price `tree` on `preset`: every
+/// top-level section with counters and a reuse profile, unless the preset
+/// is the profiled machine (then the measured counters pass through).
+std::uint64_t buckets_evaluated(const tree::ProgramTree& t,
+                                const machine::MachinePreset& preset,
+                                unsigned shift) {
+  std::uint64_t n = 0;
+  for (const auto& c : t.root->children()) {
+    const reuse::ReuseHistogram* h = c->reuse_profile();
+    if (c->kind() != tree::NodeKind::Sec || c->counters() == nullptr ||
+        h == nullptr ||
+        reuse::matches_profiled_config(h->config, preset.scaled_cache(shift),
+                                       preset.cost.dram)) {
+      continue;
+    }
+    n += h->buckets.size();
+  }
+  return n;
 }
 
 }  // namespace
@@ -109,6 +133,8 @@ int main() {
   serve::JsonValue::Array rows;
   double replay_total_ms = 0.0;
   double project_total_ms = 0.0;
+  std::uint64_t replay_accesses = 0;
+  std::uint64_t projected_buckets = 0;
   std::size_t within_10pct = 0;
   for (const machine::MachinePreset& preset : presets) {
     double replay_ms = 0.0;
@@ -122,8 +148,10 @@ int main() {
       const double ms = ms_since(t0);
       if (s == 0 || ms < replay_ms) replay_ms = ms;
       sim = section_mpi(run.tree);
+      if (s == 0) replay_accesses += run.cache_accesses;
     }
     replay_total_ms += replay_ms;
+    projected_buckets += buckets_evaluated(profiled.tree, preset, kShift);
 
     const auto t0 = std::chrono::steady_clock::now();
     tree::ProgramTree priced;
@@ -153,12 +181,30 @@ int main() {
   }
   table.print(std::cout);
 
-  // Cost contract: profiling once + projecting everywhere must beat running
-  // the cache simulator once per machine by at least 2x.
+  // Cost contract: profiling once + projecting everywhere must take at
+  // least 2x less work than running the cache simulator once per machine.
+  // The collector rides the profiled pass's access stream and walks the
+  // same lines the cache simulator looks up (vcpu.cpp feeds both), so its
+  // share equals the pass's own lookups.
+  const std::uint64_t profile_accesses = profiled.cache_accesses;
+  const std::uint64_t collector_lines = profiled.cache_accesses;
+  const std::uint64_t one_pass_work =
+      profile_accesses + collector_lines + projected_buckets;
+  const double work_reduction =
+      one_pass_work > 0 ? static_cast<double>(replay_accesses) /
+                              static_cast<double>(one_pass_work)
+                        : 0.0;
+  std::cout << "one profiled pass " << profile_accesses
+            << " cache lookups + " << collector_lines << " collector lines + "
+            << projected_buckets << " projected buckets vs " << presets.size()
+            << " replays " << replay_accesses << " cache lookups: "
+            << util::fmt_f(work_reduction, 2) << "x less work (gate: >= 2)\n";
+  // Timings, for information only (host noise makes them unfit to gate).
   const double one_pass_ms = profile_ms + project_total_ms;
   const double reduction =
       one_pass_ms > 0.0 ? replay_total_ms / one_pass_ms : 0.0;
-  std::cout << "one profiled pass " << util::fmt_f(profile_ms, 1) << " ms + "
+  std::cout << "timing (info): one profiled pass "
+            << util::fmt_f(profile_ms, 1) << " ms + "
             << util::fmt_f(project_total_ms, 2) << " ms of projections vs "
             << presets.size() << " replays " << util::fmt_f(replay_total_ms, 1)
             << " ms: " << util::fmt_f(reduction, 2) << "x cheaper\n";
@@ -182,10 +228,16 @@ int main() {
   out.set("project_total_ms", serve::JsonValue(project_total_ms));
   out.set("replay_total_ms", serve::JsonValue(replay_total_ms));
   out.set("cost_reduction", serve::JsonValue(reduction));
+  out.set("profile_cache_accesses", serve::JsonValue(profile_accesses));
+  out.set("collector_lines", serve::JsonValue(collector_lines));
+  out.set("projected_buckets", serve::JsonValue(projected_buckets));
+  out.set("replay_cache_accesses", serve::JsonValue(replay_accesses));
+  out.set("work_reduction", serve::JsonValue(work_reduction));
   out.set("presets_within_10pct",
           serve::JsonValue(static_cast<std::uint64_t>(within_10pct)));
   out.set("mpi_gate_ok", serve::JsonValue(within_10pct >= 3));
-  out.set("reduction_at_least_2x", serve::JsonValue(reduction >= 2.0));
+  out.set("work_reduction_at_least_2x",
+          serve::JsonValue(work_reduction >= 2.0));
   std::ofstream f("BENCH_reuse.json");
   f << serve::json_dump(out) << "\n";
   f.close();
@@ -196,9 +248,10 @@ int main() {
               << " presets (need >= 3)\n";
     return 1;
   }
-  if (reduction < 2.0) {
-    std::cerr << "FAIL: one-pass profiling did not beat per-machine replay "
-                 "2x (got " << util::fmt_f(reduction, 2) << "x)\n";
+  if (work_reduction < 2.0) {
+    std::cerr << "FAIL: one-pass profiling did not take 2x less work than "
+                 "per-machine replay (got "
+              << util::fmt_f(work_reduction, 2) << "x)\n";
     return 1;
   }
   return 0;

@@ -126,6 +126,7 @@ void Machine::update_contention_and_reschedule() {
     const double remaining =
         t.remaining_compute + cached_dilation_ * t.remaining_mem;
     ++t.generation;
+    ++stats_.reschedules;
     queue_.push(Event{now_ + static_cast<Cycles>(std::ceil(remaining)),
                       ++event_seq_, Event::Kind::OpComplete, t.id,
                       t.generation});
@@ -341,13 +342,15 @@ MachineStats Machine::run() {
   while (!queue_.empty()) {
     const Event e = queue_.top();
     queue_.pop();
+    ++stats_.events;
     assert(e.time >= now_);
     switch (e.kind) {
       case Event::Kind::OpComplete: {
         SimThread& t = *threads_[e.target];
         if (e.generation != t.generation ||
             t.state != SimThread::State::Running || !t.has_op) {
-          continue;  // stale
+          ++stats_.stale_events;
+          continue;
         }
         now_ = e.time;
         advance_running_progress();
@@ -357,7 +360,10 @@ MachineStats Machine::run() {
       }
       case Event::Kind::QuantumCheck: {
         Core& core = cores_[e.target];
-        if (e.generation != core.generation) continue;  // stale
+        if (e.generation != core.generation) {
+          ++stats_.stale_events;
+          continue;
+        }
         core.quantum_pending = false;
         if (core.running == kNoThread) continue;
         if (ready_.empty()) continue;  // nothing waiting; keep running
@@ -389,6 +395,9 @@ MachineStats Machine::run() {
     reg.counter("machine.spawned_threads").add(stats_.spawned_threads);
     reg.counter("machine.busy_cycles").add(stats_.total_busy);
     reg.counter("machine.lock_wait_cycles").add(stats_.total_lock_wait);
+    reg.counter("machine.events").add(stats_.events);
+    reg.counter("machine.stale_events").add(stats_.stale_events);
+    reg.counter("machine.reschedules").add(stats_.reschedules);
   }
   return stats_;
 }

@@ -122,6 +122,12 @@ struct MachineStats {
   Cycles total_busy = 0;               ///< Σ core busy cycles
   Cycles total_lock_wait = 0;          ///< Σ cycles threads spent blocked on locks
   std::uint64_t spawned_threads = 0;
+  // DES work counters: what simulating cost, not what was simulated.
+  std::uint64_t events = 0;        ///< events popped from the queue
+  std::uint64_t stale_events = 0;  ///< popped events a newer one superseded
+  /// OpComplete events (re)pushed by the contention update that follows
+  /// every processed event; each supersedes the thread's previous one.
+  std::uint64_t reschedules = 0;
 };
 
 /// The discrete-event machine. Typical use:

@@ -44,6 +44,11 @@ const JsonValue::Object& JsonValue::as_object() const {
   return object_;
 }
 
+const std::string& JsonValue::raw_text() const {
+  if (kind_ != Kind::Raw) throw JsonError("json: not raw json");
+  return string_;
+}
+
 JsonValue::Array& JsonValue::as_array() {
   if (kind_ != Kind::Array) throw JsonError("json: not an array");
   return array_;
@@ -79,7 +84,8 @@ bool JsonValue::operator==(const JsonValue& other) const {
     case Kind::Bool: return bool_ == other.bool_;
     case Kind::Int: return int_ == other.int_;
     case Kind::Double: return double_ == other.double_;
-    case Kind::String: return string_ == other.string_;
+    case Kind::String:
+    case Kind::Raw: return string_ == other.string_;
     case Kind::Array: return array_ == other.array_;
     case Kind::Object: return object_ == other.object_;
   }
@@ -412,6 +418,7 @@ void dump_value(const JsonValue& v, std::string& out) {
       out += '}';
       break;
     }
+    case JsonValue::Kind::Raw: out += v.raw_text(); break;
   }
 }
 

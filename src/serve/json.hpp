@@ -6,6 +6,11 @@
 // Numbers: integer literals parse to Int (int64) and render without a
 // decimal point, so cycle counts round-trip bit-exactly; everything else is
 // Double, rendered with enough digits (%.17g) to round-trip IEEE doubles.
+//
+// Raw values hold text that is already canonical JSON (typically a cached
+// json_dump) and are spliced into json_dump's output verbatim, so a stored
+// result is served without a parse/dump round trip. json_parse never
+// produces them.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +29,9 @@ class JsonError : public std::runtime_error {
 
 class JsonValue {
  public:
-  enum class Kind : std::uint8_t { Null, Bool, Int, Double, String, Array, Object };
+  enum class Kind : std::uint8_t {
+    Null, Bool, Int, Double, String, Array, Object, Raw
+  };
   using Array = std::vector<JsonValue>;
   using Object = std::map<std::string, JsonValue>;
 
@@ -39,6 +46,16 @@ class JsonValue {
   JsonValue(std::string s) : kind_(Kind::String), string_(std::move(s)) {}
   JsonValue(Array a) : kind_(Kind::Array), array_(std::move(a)) {}
   JsonValue(Object o) : kind_(Kind::Object), object_(std::move(o)) {}
+
+  /// Pre-serialized canonical JSON, written verbatim by json_dump. The
+  /// caller vouches that `json` is one well-formed value in json_dump's
+  /// canonical form; nothing checks it. The typed accessors throw on it.
+  static JsonValue raw(std::string json) {
+    JsonValue v;
+    v.kind_ = Kind::Raw;
+    v.string_ = std::move(json);
+    return v;
+  }
 
   Kind kind() const { return kind_; }
   bool is_null() const { return kind_ == Kind::Null; }
@@ -59,6 +76,7 @@ class JsonValue {
   const Object& as_object() const;
   Array& as_array();
   Object& as_object();
+  const std::string& raw_text() const;  ///< Raw only
 
   /// Object field lookup; null reference semantics via pointer (nullptr when
   /// absent or when *this is not an object).
@@ -69,6 +87,8 @@ class JsonValue {
   /// Mutable insertion (creates the object kind on a Null value).
   JsonValue& set(std::string key, JsonValue v);
 
+  /// Raw values compare by their text (no canonicalization), and never
+  /// equal a parsed value of another kind.
   bool operator==(const JsonValue& other) const;
 
  private:
@@ -76,7 +96,7 @@ class JsonValue {
   bool bool_ = false;
   std::int64_t int_ = 0;
   double double_ = 0.0;
-  std::string string_;
+  std::string string_;  ///< String payload, or Raw text
   Array array_;
   Object object_;
 };
@@ -86,7 +106,7 @@ class JsonValue {
 JsonValue json_parse(std::string_view text);
 
 /// Compact canonical rendering (no whitespace, object keys sorted by the
-/// std::map ordering).
+/// std::map ordering). Raw values are copied through unchanged.
 std::string json_dump(const JsonValue& v);
 
 }  // namespace pprophet::serve

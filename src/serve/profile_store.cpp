@@ -31,13 +31,21 @@ ProfileStore::PutResult ProfileStore::put(const std::string& pptb_bytes) {
   auto entry = std::make_shared<Entry>();
   entry->key = key;
   entry->packed = tree::from_binary(pptb_bytes);
-  {
-    const tree::ProgramTree unpacked = tree::unpack(entry->packed);
-    entry->nodes = unpacked.node_count();
-    entry->serial_cycles = unpacked.total_serial_cycles();
-    entry->compiled = std::make_shared<const tree::CompiledTree>(
-        tree::CompiledTree::compile(unpacked));
+  const tree::UnpackedExtent extent = tree::measure_unpacked(entry->packed);
+  if (extent.overflow || extent.nodes > kMaxUploadNodes ||
+      extent.depth > kMaxUploadDepth) {
+    throw UploadTooLarge(
+        extent.overflow
+            ? std::string("tree node or cycle count overflows 64 bits")
+            : "tree expands to " + std::to_string(extent.nodes) +
+                  " nodes at depth " + std::to_string(extent.depth) +
+                  " (limits " + std::to_string(kMaxUploadNodes) + " nodes, " +
+                  std::to_string(kMaxUploadDepth) + " levels)");
   }
+  entry->nodes = extent.nodes;
+  entry->serial_cycles = extent.serial_cycles;
+  entry->compiled = std::make_shared<const tree::CompiledTree>(
+      tree::CompiledTree::compile(tree::unpack(entry->packed)));
   entry->upload_bytes = pptb_bytes.size();
 
   std::unique_lock lock(shard.mu);

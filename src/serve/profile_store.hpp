@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <memory>
 #include <shared_mutex>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -34,6 +35,24 @@ namespace pprophet::serve {
 /// 32-hex-digit content hash of `bytes` (two independent 64-bit FNV-1a
 /// lanes). Stable across runs and platforms.
 std::string content_key(std::string_view bytes);
+
+/// Largest tree an upload may expand to. Dictionary packing lets a small
+/// upload describe an exponentially larger tree (each pattern referencing
+/// the previous one twice doubles it), so uploads are measured
+/// (tree::measure_unpacked) before anything is expanded. The paper suite's
+/// trees are a few thousand nodes at most.
+inline constexpr std::uint64_t kMaxUploadNodes = std::uint64_t{1} << 20;
+/// Deepest tree an upload may expand to; unpacking and compiling recurse
+/// once per level.
+inline constexpr std::uint64_t kMaxUploadDepth = 1024;
+
+/// An upload whose expanded tree exceeds kMaxUploadNodes or
+/// kMaxUploadDepth, or whose node or cycle totals overflow 64 bits. The
+/// serve layer answers it with the `too_large` error code.
+class UploadTooLarge : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 /// Sharded by content key so concurrent uploads and lookups from the
 /// worker pool contend on shards, not on one global lock. The shard index
@@ -63,7 +82,8 @@ class ProfileStore {
   explicit ProfileStore(std::size_t shards = 8);
 
   /// Parses and stores an uploaded PPTB byte string. Throws
-  /// std::runtime_error on malformed bytes (nothing is stored).
+  /// UploadTooLarge when the tree would expand beyond the upload limits
+  /// and std::runtime_error on malformed bytes (nothing is stored).
   PutResult put(const std::string& pptb_bytes);
 
   /// nullptr when the key is unknown.

@@ -44,6 +44,9 @@ inline constexpr const char* kErrDeadline = "deadline_exceeded";
 inline constexpr const char* kErrShuttingDown = "shutting_down";
 inline constexpr const char* kErrInternal = "internal";
 inline constexpr const char* kErrUnsupportedVersion = "unsupported_version";
+/// An upload whose tree would expand beyond the store's limits
+/// (serve/profile_store.hpp).
+inline constexpr const char* kErrTooLarge = "too_large";
 
 /// Transport failure (peer gone, short read, oversized frame).
 class ProtocolError : public std::runtime_error {

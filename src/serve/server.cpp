@@ -624,7 +624,8 @@ void Server::note_outcome(const JsonValue& response, RequestTrace* trace) {
   const JsonValue* code = response.find("error");
   const std::string c = code != nullptr && code->is_string() ? code->as_string()
                                                             : kErrInternal;
-  if (c == kErrBadRequest) bad_request_.add(1);
+  // too_large is a rejected client input too.
+  if (c == kErrBadRequest || c == kErrTooLarge) bad_request_.add(1);
   else if (c == kErrNotFound) not_found_.add(1);
   else if (c == kErrOverloaded) overloaded_.add(1);
   else if (c == kErrDeadline) deadline_exceeded_.add(1);
@@ -746,6 +747,9 @@ JsonValue Server::handle_upload(const JsonValue& request) {
   ProfileStore::PutResult put;
   try {
     put = store_.put(bytes);
+  } catch (const UploadTooLarge& e) {
+    return error_response("upload", kErrTooLarge,
+                          std::string("upload: ") + e.what());
   } catch (const std::exception& e) {
     throw BadRequest(std::string("upload: ") + e.what());
   }
@@ -794,7 +798,9 @@ JsonValue Server::handle_grid_op(const JsonValue& request,
     metrics_.counter("serve.cache.hits").add(1);
     if (trace != nullptr) trace->cache = 1;
     r.set("cached", JsonValue(true));
-    r.set("result", json_parse(*hit));
+    // The stored bytes are the miss path's json_dump(result): splice them
+    // in as-is, byte-identical to the miss response by construction.
+    r.set("result", JsonValue::raw(std::move(*hit)));
     return r;
   }
   metrics_.counter("serve.cache.misses").add(1);
@@ -925,7 +931,7 @@ JsonValue Server::handle_advise(const JsonValue& request,
     metrics_.counter("serve.cache.hits").add(1);
     if (trace != nullptr) trace->cache = 1;
     r.set("cached", JsonValue(true));
-    r.set("result", json_parse(*hit));
+    r.set("result", JsonValue::raw(std::move(*hit)));  // as in handle_grid_op
     return r;
   }
   metrics_.counter("serve.cache.misses").add(1);

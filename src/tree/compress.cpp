@@ -279,4 +279,52 @@ ProgramTree unpack(const PackedTree& packed) {
   return tree;
 }
 
+UnpackedExtent measure_unpacked(const PackedTree& packed) {
+  struct Totals {
+    std::uint64_t nodes = 1;
+    std::uint64_t depth = 1;
+    Cycles work = 0;  ///< serial work of one instance (repeat 1)
+  };
+  UnpackedExtent out;
+  const auto add = [&](std::uint64_t& acc, std::uint64_t v) {
+    if (__builtin_add_overflow(acc, v, &acc)) out.overflow = true;
+  };
+  const auto add_times = [&](std::uint64_t& acc, std::uint64_t v,
+                             std::uint64_t times) {
+    std::uint64_t product = 0;
+    if (__builtin_mul_overflow(v, times, &product)) out.overflow = true;
+    add(acc, product);
+  };
+  const std::vector<PackedTree::Pattern>& dict = packed.dictionary;
+  std::vector<Totals> memo(dict.size());
+  for (std::size_t i = 0; i < dict.size() && !out.overflow; ++i) {
+    const PackedTree::Pattern& p = dict[i];
+    const bool leaf = p.kind == NodeKind::U || p.kind == NodeKind::L;
+    Totals& t = memo[i];
+    if (leaf) t.work = p.length;
+    for (const PackedTree::Ref& c : p.children) {
+      if (c.pattern >= i) {
+        throw std::runtime_error("PackedTree: forward pattern reference");
+      }
+      const Totals& ct = memo[c.pattern];
+      add(t.nodes, ct.nodes);
+      t.depth = std::max(t.depth, ct.depth + 1);
+      if (!leaf) add_times(t.work, ct.work, c.repeat);
+    }
+  }
+  out.nodes = 1;
+  out.depth = 1;
+  for (const PackedTree::Ref& ref : packed.top) {
+    if (out.overflow) return out;
+    if (ref.pattern >= dict.size()) {
+      throw std::runtime_error("PackedTree: dangling pattern reference");
+    }
+    const Totals& t = memo[ref.pattern];
+    add(out.nodes, t.nodes);
+    out.depth = std::max(out.depth, t.depth + 1);
+    add_times(out.serial_cycles, t.work, ref.repeat);
+  }
+  return out;
+}
+
 }  // namespace pprophet::tree

@@ -105,4 +105,22 @@ PackedTree pack(const ProgramTree& tree);
 /// emulators do not use them).
 ProgramTree unpack(const PackedTree& packed);
 
+/// Size of the tree unpack() would build, computed from the dictionary in
+/// O(dictionary + references) without expanding anything: each pattern's
+/// totals are derived once from its children's. A few hundred PPTB bytes
+/// can describe billions of nodes, so untrusted input is measured before
+/// it is unpacked.
+struct UnpackedExtent {
+  std::uint64_t nodes = 0;   ///< unpack(packed).node_count()
+  std::uint64_t depth = 0;   ///< node levels, root included
+  Cycles serial_cycles = 0;  ///< unpack(packed).total_serial_cycles()
+  /// A count does not fit in 64 bits; the other fields are then partial.
+  bool overflow = false;
+};
+
+/// Throws std::runtime_error on dangling or forward pattern references
+/// (patterns may only reference earlier entries; pack() and the PPTB
+/// reader both guarantee it).
+UnpackedExtent measure_unpacked(const PackedTree& packed);
+
 }  // namespace pprophet::tree

@@ -47,6 +47,7 @@ KernelRun KernelHarness::finish(double checksum) {
   run.instructions = cpu_->instructions() - begin_instructions_;
   run.llc_misses = cpu_->llc_misses() - begin_misses_;
   run.cycles = cpu_->cycles() - begin_cycles_;
+  run.cache_accesses = cpu_->caches().level(1).accesses;
   return run;
 }
 

@@ -47,6 +47,9 @@ struct KernelRun {
   std::uint64_t instructions = 0;
   std::uint64_t llc_misses = 0;
   Cycles cycles = 0;
+  /// Line lookups the cache simulator served over the whole run, data
+  /// initialization included: the simulation work of the run.
+  std::uint64_t cache_accesses = 0;
 };
 
 /// Owns the vcpu + profiler plumbing for one kernel execution. The vcpu is

@@ -1,0 +1,184 @@
+// Bit-identity golden for the discrete-event machine (machine/machine.hpp)
+// as the OpenMP and Cilk executors drive it.
+//
+// Each row pins one FNV-64 digest per (mode, paradigm) over every
+// top-level section of a random tree, every OpenMP schedule (Cilk has
+// none) and the thread counts {1, 2, 5, 12, 16, 24} on paper_machine().
+// The digest folds each run's RunResult (elapsed, traversal overhead) and
+// the MachineStats fields that describe the simulated execution. The DES
+// work counters (events, stale_events, reschedules) are left out on
+// purpose: they measure how much work the simulator did, not what it
+// simulated, and a faster event scheduler must be free to change them.
+//
+// The trees are random_tree(seed) with every length scaled up so runs
+// outlast the 100k-cycle OS quantum; 16 and 24 threads oversubscribe the
+// 12 cores, so the preemption and context-switch paths run. Top-level
+// sections carry deterministic counters (Real mode splits leaves into
+// compute + dilatable memory stall) and burden tables (Synth mode).
+//
+// A change to the DES that moves any digest changes predictions; it must
+// re-baseline the goldens and pred_err_pct in the same change.
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <string>
+
+#include "report/experiment.hpp"
+#include "runtime/cilk_executor.hpp"
+#include "runtime/omp_executor.hpp"
+#include "tree/compile.hpp"
+#include "util/fnv.hpp"
+
+#include "../property/random_trees.hpp"
+
+namespace pprophet::runtime {
+namespace {
+
+constexpr CoreCount kThreads[] = {1, 2, 5, 12, 16, 24};
+constexpr OmpSchedule kSchedules[] = {
+    OmpSchedule::StaticCyclic, OmpSchedule::StaticBlock, OmpSchedule::Dynamic,
+    OmpSchedule::Guided};
+constexpr Cycles kLengthScale = 40;
+
+void scale_lengths(tree::Node& n) {
+  n.set_length(n.length() * kLengthScale);
+  for (const auto& c : n.children()) scale_lengths(*c);
+}
+
+tree::ProgramTree golden_tree(std::uint64_t seed) {
+  tree::ProgramTree t = tree::random_tree(seed);
+  scale_lengths(*t.root);
+  util::Xoshiro256 rng(seed ^ 0x5eedULL);
+  for (const auto& child : t.root->children()) {
+    if (child->kind() != tree::NodeKind::Sec) continue;
+    tree::SectionCounters c;
+    c.cycles = child->serial_work();
+    // DRAM stall share in [0.2, 0.8) at ω = 200 cycles per miss.
+    const double mem_share = 0.2 + 0.6 * rng.uniform_double();
+    c.llc_misses = static_cast<std::uint64_t>(
+        mem_share * static_cast<double>(c.cycles) / 200.0);
+    c.llc_writebacks = c.llc_misses / 4;
+    c.instructions = c.cycles / 2;
+    child->set_counters(c);
+    for (const CoreCount threads : kThreads) {
+      child->set_burden(threads, 1.0 + 1.5 * rng.uniform_double());
+    }
+  }
+  return t;
+}
+
+void fold(util::Fnv64& h, const RunResult& r) {
+  h.u64(r.elapsed);
+  h.u64(r.traversal_overhead);
+  const machine::MachineStats& s = r.stats;
+  h.u64(s.finish_time);
+  h.u64(s.context_switches);
+  h.u64(s.preemptions);
+  h.u64(s.lock_acquisitions);
+  h.u64(s.lock_contentions);
+  h.u64(s.total_busy);
+  h.u64(s.total_lock_wait);
+  h.u64(s.spawned_threads);
+}
+
+struct Digests {
+  std::uint64_t real_omp = 0;
+  std::uint64_t real_cilk = 0;
+  std::uint64_t synth_omp = 0;
+  std::uint64_t synth_cilk = 0;
+};
+
+/// Scheduler paths hit across all golden runs, so the golden provably
+/// exercises what it pins.
+struct Coverage {
+  std::uint64_t preemptions = 0;
+  std::uint64_t context_switches = 0;
+  std::uint64_t lock_contentions = 0;
+};
+
+Digests run_golden(std::uint64_t seed, Coverage& cov) {
+  const tree::CompiledTree ct = tree::CompiledTree::compile(golden_tree(seed));
+  const machine::MachineConfig mcfg = report::paper_machine();
+  Digests d;
+  for (const bool synth : {false, true}) {
+    const ExecMode mode = synth ? ExecMode::synth_mode() : ExecMode::real();
+    util::Fnv64 omp, cilk;
+    const auto note = [&](const RunResult& r) {
+      cov.preemptions += r.stats.preemptions;
+      cov.context_switches += r.stats.context_switches;
+      cov.lock_contentions += r.stats.lock_contentions;
+    };
+    for (std::uint32_t s = 0; s < ct.section_count(); ++s) {
+      for (const CoreCount threads : kThreads) {
+        for (const OmpSchedule sched : kSchedules) {
+          OmpConfig ocfg;
+          ocfg.num_threads = threads;
+          ocfg.schedule = sched;
+          const RunResult r = run_section_omp(ct, s, mcfg, ocfg, mode);
+          fold(omp, r);
+          note(r);
+        }
+        CilkConfig ccfg;
+        ccfg.num_workers = threads;
+        const RunResult r = run_section_cilk(ct, s, mcfg, ccfg, mode);
+        fold(cilk, r);
+        note(r);
+      }
+    }
+    (synth ? d.synth_omp : d.real_omp) = omp.h;
+    (synth ? d.synth_cilk : d.real_cilk) = cilk.h;
+  }
+  return d;
+}
+
+std::string hex(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "0x%016llxULL",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+struct GoldenRow {
+  std::uint64_t seed;
+  Digests want;
+};
+
+// Recorded from the DES before its work counters were added; every change
+// since must reproduce them exactly.
+constexpr GoldenRow kGolden[] = {
+    {1, {0xd2d08a44c76cd449ULL, 0x013791ca8aab49e1ULL, 0x74270aa08083756fULL,
+         0xd8bcb5fe1208790bULL}},
+    {2, {0x3b9db0c3ec65a8ccULL, 0xdfa6fb9298026c4aULL, 0x17ac3142ee362cfeULL,
+         0x7e20035806e1fba9ULL}},
+    {3, {0x6018ca5ed015c1ebULL, 0x062e64056cc5505dULL, 0x2c7f9e5cef16be4fULL,
+         0x053536d8cea623aaULL}},
+    {4, {0x46bb26a857d0f412ULL, 0x33e5836eb294f6a6ULL, 0xbba299f028431581ULL,
+         0x700217a5928a194bULL}},
+    {5, {0x44dbe8883f9afc61ULL, 0xef951dd9dec8d3f8ULL, 0x5b9c8360f7b85ad7ULL,
+         0xe98367c80f3003fbULL}},
+    {6, {0xad2e465d5f94bfa7ULL, 0x3cc2079b0d5b9b85ULL, 0xdc151605053315d1ULL,
+         0x8cd20570662b14dbULL}},
+};
+
+TEST(DesGolden, RunDigestsAreBitIdentical) {
+  Coverage cov;
+  for (const GoldenRow& row : kGolden) {
+    const Digests got = run_golden(row.seed, cov);
+    // On mismatch the message is the row to paste after a deliberate,
+    // explained re-baseline.
+    const std::string actual = "{" + std::to_string(row.seed) + ", {" +
+                               hex(got.real_omp) + ", " + hex(got.real_cilk) +
+                               ", " + hex(got.synth_omp) + ", " +
+                               hex(got.synth_cilk) + "}},";
+    EXPECT_EQ(got.real_omp, row.want.real_omp) << actual;
+    EXPECT_EQ(got.real_cilk, row.want.real_cilk) << actual;
+    EXPECT_EQ(got.synth_omp, row.want.synth_omp) << actual;
+    EXPECT_EQ(got.synth_cilk, row.want.synth_cilk) << actual;
+  }
+  EXPECT_GT(cov.preemptions, 0u);
+  EXPECT_GT(cov.context_switches, 0u);
+  EXPECT_GT(cov.lock_contentions, 0u);
+}
+
+}  // namespace
+}  // namespace pprophet::runtime

@@ -367,5 +367,72 @@ TEST(Machine, ContentionEndsWhenHeavyThreadFinishes) {
   EXPECT_EQ(t, 12000u);
 }
 
+// --- DES work counters (events, stale_events, reschedules) ---
+
+TEST(Machine, WorkCountersOnMemoryContention) {
+  // A short memory hog beside a memory task with a compute tail, 2 cores,
+  // dilation = demand / sat (4000 MB/s).
+  MachineConfig c = cfg(2);
+  c.bandwidth.saturation_mbps = 4000;
+  c.bandwidth.log_alpha = 0.0;
+  Machine m(c);
+  m.spawn_thread(std::make_unique<ScriptBody>(
+      std::vector<Op>{Op::exec(0, 2000, 4000)}));
+  m.spawn_thread(std::make_unique<ScriptBody>(
+      std::vector<Op>{Op::exec(0, 10000, 4000), Op::exec(1000)}));
+  const MachineStats s = m.run();
+  // run() opens at f = 2: push hog@4000, B@20000            (2 reschedules)
+  // pop hog@4000: hog exits, f = 1, push B@12000            (event 1, +1)
+  // pop B@12000: B's compute tail starts, push B@13000      (event 2, +1)
+  // pop B@13000: B exits                                    (event 3)
+  // pop B@20000: superseded at 4000                         (event 4, stale)
+  EXPECT_EQ(s.finish_time, 13000u);
+  EXPECT_EQ(s.events, 4u);
+  EXPECT_EQ(s.stale_events, 1u);
+  EXPECT_EQ(s.reschedules, 4u);
+}
+
+TEST(Machine, WorkCountersUnderTimeSlicing) {
+  // Two 200-cycle threads on one core with a 100-cycle quantum. Every
+  // quantum check preempts, and each preemption strands the preempted
+  // thread's completion event.
+  Machine m(cfg(1, /*quantum=*/100));
+  m.spawn_thread(std::make_unique<ScriptBody>(std::vector<Op>{Op::exec(200)}));
+  m.spawn_thread(std::make_unique<ScriptBody>(std::vector<Op>{Op::exec(200)}));
+  const MachineStats s = m.run();
+  // Pops, in order (A and B alternate every 100 cycles):
+  //   quantum@100 (A out, B in)   A@200 stale   quantum@200 (B out, A in)
+  //   B@300 stale                 quantum@300 (A out with 0 left, B in)
+  //   A@300 stale                 quantum@400 (B out with 0 left, A in)
+  //   B@400 stale                 A@400 (A exits, B in)   B@400 (B exits)
+  //   quantum@500 stale (the core was re-dispatched after A exited)
+  // Completions pushed: A@200, B@300, A@300, B@400, A@400, B@400.
+  EXPECT_EQ(s.finish_time, 400u);
+  EXPECT_EQ(s.events, 11u);
+  EXPECT_EQ(s.stale_events, 5u);
+  EXPECT_EQ(s.reschedules, 6u);
+  EXPECT_EQ(s.preemptions, 4u);
+  EXPECT_EQ(s.context_switches, 4u);
+}
+
+TEST(Machine, StaleEventsNeverExceedEvents) {
+  for (const CoreCount cores : {1u, 2u, 3u}) {
+    MachineConfig c = cfg(cores, /*quantum=*/700);
+    c.bandwidth.saturation_mbps = 1500;
+    Machine m(c);
+    for (int i = 0; i < 5; ++i) {
+      m.spawn_thread(std::make_unique<ScriptBody>(std::vector<Op>{
+          Op::exec(300 + 100 * i, 900, 600.0 + 100 * i),
+          Op::acquire(1), Op::exec(250), Op::release(1),
+          Op::exec(0, 400 * i, 900)}));
+    }
+    const MachineStats s = m.run();
+    EXPECT_GT(s.events, 0u) << cores;
+    EXPECT_LE(s.stale_events, s.events) << cores;
+    // run() drains the queue, so every pushed completion is popped.
+    EXPECT_GE(s.events, s.reschedules) << cores;
+  }
+}
+
 }  // namespace
 }  // namespace pprophet::machine

@@ -5,6 +5,7 @@
 // prediction service's upload path (src/serve) depends on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "random_trees.hpp"
@@ -34,6 +35,28 @@ TEST(BinaryProperty, RoundTripsRandomTreesExactly) {
       ASSERT_TRUE(structurally_equal(*a.root, *b.root, 0.0))
           << "seed " << seed << " compressed " << compressed;
       ASSERT_EQ(a.total_serial_cycles(), b.total_serial_cycles());
+    }
+  }
+}
+
+std::uint64_t depth_of(const Node& n) {
+  std::uint64_t deepest = 0;
+  for (const auto& c : n.children()) deepest = std::max(deepest, depth_of(*c));
+  return deepest + 1;
+}
+
+TEST(BinaryProperty, MeasuredExtentMatchesTheUnpackedTree) {
+  // The upload guard (serve/profile_store.hpp) trusts measure_unpacked in
+  // place of unpacking; it must agree with unpack() exactly.
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    for (const bool compressed : {false, true}) {
+      const PackedTree packed = from_binary(packed_bytes(seed, compressed));
+      const UnpackedExtent ext = measure_unpacked(packed);
+      const ProgramTree t = unpack(packed);
+      ASSERT_FALSE(ext.overflow) << "seed " << seed;
+      EXPECT_EQ(ext.nodes, t.node_count()) << "seed " << seed;
+      EXPECT_EQ(ext.serial_cycles, t.total_serial_cycles()) << "seed " << seed;
+      EXPECT_EQ(ext.depth, depth_of(*t.root)) << "seed " << seed;
     }
   }
 }

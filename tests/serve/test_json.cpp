@@ -118,5 +118,72 @@ TEST(Json, SetBuildsObjects) {
   EXPECT_EQ(json_dump(v), R"({"a":"x","b":2})");
 }
 
+TEST(Json, RawIsDumpedVerbatimInsideObjectsAndArrays) {
+  const std::string stored = R"({"cells":[{"speedup":1.5}],"n":3})";
+  JsonValue r;
+  r.set("ok", JsonValue(true));
+  r.set("result", JsonValue::raw(stored));
+  r.set("z", JsonValue(JsonValue::Array{JsonValue::raw("[1,2]"),
+                                        JsonValue(nullptr)}));
+  EXPECT_EQ(json_dump(r), R"({"ok":true,"result":)" + stored +
+                              R"(,"z":[[1,2],null]})");
+}
+
+TEST(Json, RawComparesByText) {
+  EXPECT_EQ(JsonValue::raw("[1,2]"), JsonValue::raw("[1,2]"));
+  EXPECT_FALSE(JsonValue::raw("[1,2]") == JsonValue::raw("[1, 2]"));
+  // A Raw never equals a parsed value, nor a String holding the same text.
+  EXPECT_FALSE(JsonValue::raw("[1,2]") == json_parse("[1,2]"));
+  EXPECT_FALSE(JsonValue::raw("\"s\"") == JsonValue("\"s\""));
+}
+
+TEST(Json, TypedAccessorsThrowOnRaw) {
+  const JsonValue v = JsonValue::raw(R"({"a":1})");
+  EXPECT_EQ(v.kind(), JsonValue::Kind::Raw);
+  EXPECT_FALSE(v.is_object());
+  EXPECT_FALSE(v.is_string());
+  EXPECT_EQ(v.raw_text(), R"({"a":1})");
+  EXPECT_THROW(v.as_bool(), JsonError);
+  EXPECT_THROW(v.as_int(), JsonError);
+  EXPECT_THROW(v.as_u64(), JsonError);
+  EXPECT_THROW(v.as_double(), JsonError);
+  EXPECT_THROW(v.as_string(), JsonError);
+  EXPECT_THROW(v.as_array(), JsonError);
+  EXPECT_THROW(v.as_object(), JsonError);
+  EXPECT_EQ(v.find("a"), nullptr);
+  EXPECT_THROW(v.at("a"), JsonError);
+  JsonValue m = JsonValue::raw("[]");
+  EXPECT_THROW(m.as_array(), JsonError);
+  EXPECT_THROW(m.set("k", JsonValue(1)), JsonError);
+  EXPECT_THROW(json_parse("1").raw_text(), JsonError);
+}
+
+bool contains_raw(const JsonValue& v) {
+  if (v.kind() == JsonValue::Kind::Raw) return true;
+  if (v.is_array()) {
+    for (const JsonValue& e : v.as_array()) {
+      if (contains_raw(e)) return true;
+    }
+  }
+  if (v.is_object()) {
+    for (const auto& [k, e] : v.as_object()) {
+      if (contains_raw(e)) return true;
+    }
+  }
+  return false;
+}
+
+TEST(Json, ParseNeverYieldsRaw) {
+  for (const char* text :
+       {"null", "true", "7", "-2.5e3", "\"s\"", "[]", "{}",
+        R"({"result":{"cells":[{"speedup":1.5,"m":null}]},"raw":"[1,2]"})",
+        R"([[["deep"]],{"a":[{}]}])"}) {
+    const JsonValue v = json_parse(text);
+    EXPECT_FALSE(contains_raw(v)) << text;
+    // Splicing a value's dump writes the bytes dumping the value writes.
+    EXPECT_EQ(json_dump(JsonValue::raw(json_dump(v))), json_dump(v)) << text;
+  }
+}
+
 }  // namespace
 }  // namespace pprophet::serve

@@ -213,6 +213,23 @@ TEST_F(ServerTest, ErrorPaths) {
   bad_tree.set("op", JsonValue("upload"));
   bad_tree.set("pptb", JsonValue(base64_encode("not a pptb stream")));
   EXPECT_EQ(c.call(bad_tree).at("error").as_string(), kErrBadRequest);
+  // An expansion bomb: 31 patterns, each referencing the previous one
+  // twice, describe ~3.2 billion nodes in a few hundred bytes.
+  tree::PackedTree bomb;
+  bomb.dictionary.push_back({tree::NodeKind::U, 1'000, 0, true, {}});
+  for (std::uint32_t i = 1; i < 31; ++i) {
+    bomb.dictionary.push_back(
+        {tree::NodeKind::Task, 0, 0, true, {{i - 1, 1}, {i - 1, 1}}});
+  }
+  bomb.top = {{30, 1}, {29, 1}};
+  JsonValue bomb_upload;
+  bomb_upload.set("op", JsonValue("upload"));
+  bomb_upload.set("pptb", JsonValue(base64_encode(tree::to_binary(bomb))));
+  const JsonValue too_large = c.call(bomb_upload);
+  EXPECT_FALSE(too_large.at("ok").as_bool());
+  EXPECT_EQ(too_large.at("error").as_string(), kErrTooLarge)
+      << json_dump(too_large);
+  EXPECT_EQ(server.stats().stored_trees, 0u);
 
   // Bad request shapes: missing op, non-JSON frame, bad grid values.
   EXPECT_EQ(c.call(JsonValue(JsonValue::Object{}))
@@ -634,6 +651,70 @@ TEST_F(ServerTest, NeverReadingClientCannotHangDrain) {
   server.stop();  // must return: the wedged connection times out and drops
   EXPECT_FALSE(server.running());
   ::close(fd);
+}
+
+// A result-cache hit splices the stored result bytes into the response.
+// Whatever the op and whether or not the request carries "v", the hit's
+// frame is the miss's frame byte for byte, except for the "cached" flag.
+TEST_F(ServerTest, CacheHitFrameEqualsMissFrameByteForByte) {
+  struct Case {
+    const char* name;
+    JsonValue request;
+  };
+  const auto grid = [](const char* op) {
+    JsonValue req;
+    req.set("op", JsonValue(op));
+    req.set("methods", JsonValue(JsonValue::Array{JsonValue("ff"),
+                                                  JsonValue("suit")}));
+    req.set("schedules", JsonValue(JsonValue::Array{JsonValue("static1"),
+                                                    JsonValue("dynamic")}));
+    req.set("threads", JsonValue(JsonValue::Array{JsonValue(2), JsonValue(4),
+                                                  JsonValue(6)}));
+    return req;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"sweep", grid("sweep")});
+  cases.push_back({"sweep memory_model", grid("sweep")});
+  cases.back().request.set("memory_model", JsonValue(true));
+  cases.push_back({"sweep machines", grid("sweep")});
+  cases.back().request.set(
+      "machines",
+      JsonValue(JsonValue::Array{JsonValue("westmere"), JsonValue("epyc")}));
+  cases.push_back({"advise", JsonValue()});
+  cases.back().request.set("op", JsonValue("advise"));
+  cases.back().request.set(
+      "threads", JsonValue(JsonValue::Array{JsonValue(2), JsonValue(4)}));
+
+  for (const bool versioned : {false, true}) {
+    // A fresh server per version, so each first request is a miss.
+    Server server(base_config(versioned ? "splice2" : "splice1"));
+    server.start();
+    Client c;
+    c.connect(server.config().socket_path);
+    const std::string key = c.upload(sample_pptb());
+    const int fd = raw_connect(server.config().socket_path);
+    ASSERT_GE(fd, 0);
+    for (Case& tc : cases) {
+      SCOPED_TRACE(std::string(tc.name) + (versioned ? " v2" : " v1"));
+      tc.request.set("key", JsonValue(key));
+      if (versioned) tc.request.set("v", JsonValue(kProtocolVersion));
+      std::string miss, hit;
+      write_frame(fd, json_dump(tc.request));
+      ASSERT_TRUE(read_frame(fd, miss));
+      write_frame(fd, json_dump(tc.request));
+      ASSERT_TRUE(read_frame(fd, hit));
+      ASSERT_TRUE(json_parse(miss).at("ok").as_bool()) << miss;
+      EXPECT_EQ(json_parse(miss).find("v") != nullptr, versioned);
+      const std::string flag = "\"cached\":false";
+      const std::size_t at = miss.find(flag);
+      ASSERT_NE(at, std::string::npos) << miss;
+      ASSERT_EQ(miss.find(flag, at + 1), std::string::npos) << miss;
+      miss.replace(at, flag.size(), "\"cached\":true");
+      EXPECT_EQ(hit, miss);
+    }
+    ::close(fd);
+    server.stop();
+  }
 }
 
 }  // namespace

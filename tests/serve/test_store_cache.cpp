@@ -66,6 +66,83 @@ TEST(ProfileStore, RejectsMalformedUploadWithoutStoringAnything) {
   EXPECT_EQ(store.total_bytes(), 0u);
 }
 
+/// A doubling chain: pattern 0 is a U leaf and every later pattern holds
+/// two references to the one before it, so pattern i expands to 2^(i+1)-1
+/// nodes. The top level references the last two patterns.
+tree::PackedTree doubling_chain(std::uint32_t patterns) {
+  tree::PackedTree p;
+  tree::PackedTree::Pattern leaf;
+  leaf.kind = tree::NodeKind::U;
+  leaf.length = 1'000'000;
+  p.dictionary.push_back(leaf);
+  for (std::uint32_t i = 1; i < patterns; ++i) {
+    tree::PackedTree::Pattern pat;
+    pat.kind = i % 2 == 1 ? tree::NodeKind::Task : tree::NodeKind::Sec;
+    pat.children = {{i - 1, 1}, {i - 1, 1}};
+    p.dictionary.push_back(pat);
+  }
+  p.top = {{patterns - 1, 1}, {patterns - 2, 1}};
+  return p;
+}
+
+TEST(ProfileStore, ExpansionBombIsTooLargeAndStoresNothing) {
+  ProfileStore store;
+  store.put(sample_pptb());
+  const std::string bomb = tree::to_binary(doubling_chain(31));
+  EXPECT_LT(bomb.size(), 600u);
+  // 2^31 + 2^30 nodes under the root: ~3.2 billion, measured not built.
+  const tree::UnpackedExtent ext =
+      tree::measure_unpacked(tree::from_binary(bomb));
+  EXPECT_FALSE(ext.overflow);
+  EXPECT_EQ(ext.nodes, (std::uint64_t{1} << 31) + (std::uint64_t{1} << 30) - 1);
+  EXPECT_EQ(ext.depth, 32u);
+  EXPECT_THROW(store.put(bomb), UploadTooLarge);
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.total_bytes(), sample_pptb().size());
+  EXPECT_EQ(store.find(content_key(bomb)), nullptr);
+}
+
+TEST(ProfileStore, OverflowingUploadsAreTooLarge) {
+  ProfileStore store;
+  // Node count past 2^64: 70 doublings.
+  const tree::UnpackedExtent ext = tree::measure_unpacked(doubling_chain(70));
+  EXPECT_TRUE(ext.overflow);
+  EXPECT_THROW(store.put(tree::to_binary(doubling_chain(70))), UploadTooLarge);
+  // A handful of nodes whose repeat x length wraps uint64.
+  tree::PackedTree wrap;
+  tree::PackedTree::Pattern leaf;
+  leaf.kind = tree::NodeKind::U;
+  leaf.length = Cycles{1} << 62;
+  wrap.dictionary.push_back(leaf);
+  wrap.top = {{0, 8}};
+  EXPECT_TRUE(tree::measure_unpacked(wrap).overflow);
+  EXPECT_THROW(store.put(tree::to_binary(wrap)), UploadTooLarge);
+  EXPECT_EQ(store.size(), 0u);
+}
+
+TEST(ProfileStore, TooDeepUploadIsTooLarge) {
+  // A single-child chain: few nodes, but one level per pattern.
+  tree::PackedTree chain;
+  tree::PackedTree::Pattern leaf;
+  leaf.kind = tree::NodeKind::U;
+  leaf.length = 10;
+  chain.dictionary.push_back(leaf);
+  const auto levels = static_cast<std::uint32_t>(kMaxUploadDepth);
+  for (std::uint32_t i = 1; i < levels; ++i) {
+    tree::PackedTree::Pattern pat;
+    pat.kind = tree::NodeKind::Task;
+    pat.children = {{i - 1, 1}};
+    chain.dictionary.push_back(pat);
+  }
+  chain.top = {{levels - 1, 1}};
+  const tree::UnpackedExtent ext = tree::measure_unpacked(chain);
+  EXPECT_EQ(ext.nodes, kMaxUploadDepth + 1);
+  EXPECT_EQ(ext.depth, kMaxUploadDepth + 1);
+  ProfileStore store;
+  EXPECT_THROW(store.put(tree::to_binary(chain)), UploadTooLarge);
+  EXPECT_EQ(store.size(), 0u);
+}
+
 TEST(ProfileStore, ConcurrentIdenticalUploadsConvergeOnOneEntry) {
   ProfileStore store;
   const std::string bytes = sample_pptb();

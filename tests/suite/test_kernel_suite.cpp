@@ -5,6 +5,9 @@
 
 #include "kernel_suite.hpp"
 #include "emul/kismet.hpp"
+#include "serve/profile_store.hpp"
+#include "tree/binary.hpp"
+#include "tree/compress.hpp"
 #include "tree/validate.hpp"
 
 namespace pprophet::bench {
@@ -105,6 +108,29 @@ TEST(BaselineEmulators, KismetUpperBoundsTheSuite) {
       const CoreCount t = report::paper_core_counts()[i];
       EXPECT_GE(k.bound(t) * 1.02, c.real[i]) << name << " @" << t;
     }
+  }
+}
+
+TEST(KernelSuite, UploadGuardMeasuresSuiteTreesExactly) {
+  // What the serve upload guard computes from the PPTB dictionary must
+  // equal the expanded tree for every paper kernel, and every suite tree
+  // must fit the upload limits with room to spare.
+  for (const auto& e : suite()) {
+    workloads::KernelRun run = e.run();
+    tree::compress(run.tree);
+    const std::string bytes = tree::to_binary(tree::pack(run.tree));
+    const tree::PackedTree packed = tree::from_binary(bytes);
+    const tree::UnpackedExtent ext = tree::measure_unpacked(packed);
+    const tree::ProgramTree back = tree::unpack(packed);
+    ASSERT_FALSE(ext.overflow) << e.name;
+    EXPECT_EQ(ext.nodes, back.node_count()) << e.name;
+    EXPECT_EQ(ext.serial_cycles, back.total_serial_cycles()) << e.name;
+    EXPECT_LT(ext.nodes * 16, serve::kMaxUploadNodes) << e.name;
+    EXPECT_LT(ext.depth * 16, serve::kMaxUploadDepth) << e.name;
+    serve::ProfileStore store;
+    const auto put = store.put(bytes);
+    EXPECT_EQ(put.entry->nodes, back.node_count()) << e.name;
+    EXPECT_EQ(put.entry->serial_cycles, back.total_serial_cycles()) << e.name;
   }
 }
 

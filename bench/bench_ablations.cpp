@@ -152,6 +152,7 @@ void ablation_cilk_grain() {
   }
   b.end_sec();
   const tree::ProgramTree t = b.finish();
+  const tree::CompiledTree ct = tree::CompiledTree::compile(t);
   util::Table table({"grain", "speedup", "note"});
   for (const std::uint64_t grain : {1ull, 4ull, 16ull, 64ull, 256ull}) {
     core::PredictOptions o = report::paper_options(core::Method::GroundTruth);
@@ -165,7 +166,7 @@ void ablation_cilk_grain() {
     cc.grain = grain;
     cc.overheads = o.cilk_overheads;
     const runtime::RunResult r = runtime::run_tree_cilk(
-        t, o.machine, cc, runtime::ExecMode::real());
+        ct, o.machine, cc, runtime::ExecMode::real());
     const double s = static_cast<double>(t.total_serial_cycles()) /
                      static_cast<double>(r.elapsed);
     table.add_row({std::to_string(grain), util::fmt_f(s, 2),

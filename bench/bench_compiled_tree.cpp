@@ -1,15 +1,14 @@
 // Compiled-tree benchmark: the Figure-12/Table-3 grid (methods × paradigms
 // × schedules × chunks × memory-model × core counts) evaluated two ways —
-// the pointer-tree reference path, composed per §IV-E from
-// predict_section_cycles(const tree::Node&), and the flat tree::CompiledTree
-// path (compile once, then core::predict over the arrays for every point).
-// Every cell is checked bit-identical; the binary exits nonzero on any
+// compile once, then core::predict over the flat arrays for every point,
+// timed whole-grid and per method; and the memoized core::sweep. Every cell
+// is checked bit-identical between the two; the binary exits nonzero on any
 // mismatch, so it doubles as a ctest (label: perf). A second comparison
 // times the batched sweep against a per-point core::predict loop over the
 // FF+Suitability slice — the methods with batched evaluators — and gates
-// their bit-identity too. Writes the
-// measured wall times and speedups to BENCH_compiled.json. PP_SMOKE=1
-// shrinks the grid for fast CI identity runs.
+// their bit-identity too. Writes the measured wall times to
+// BENCH_compiled.json. PP_SMOKE=1 shrinks the grid for fast CI identity
+// runs.
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -39,28 +38,6 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// §IV-E over the pointer tree, the pre-CompiledTree reference: top-level U
-/// lengths plus every top-level Sec's emulated duration once per repetition.
-core::SpeedupEstimate predict_pointer(const tree::ProgramTree& t,
-                                      CoreCount threads,
-                                      const core::PredictOptions& o) {
-  core::SpeedupEstimate est;
-  est.threads = threads;
-  est.serial_cycles = core::serial_cycles_of(t);
-  Cycles parallel = 0;
-  for (const tree::NodePtr& c : t.top_level()) {
-    if (c->kind() == tree::NodeKind::U) {
-      parallel += c->length() * c->repeat();
-    } else if (c->kind() == tree::NodeKind::Sec) {
-      parallel += core::predict_section_cycles(*c, threads, o) * c->repeat();
-    }
-  }
-  est.parallel_cycles = parallel == 0 ? 1 : parallel;
-  est.speedup = static_cast<double>(est.serial_cycles) /
-                static_cast<double>(est.parallel_cycles);
-  return est;
-}
-
 }  // namespace
 
 int main() {
@@ -71,7 +48,7 @@ int main() {
   const bool smoke = util::env_long("PP_SMOKE", 0) != 0;
   const long samples = util::env_long("PP_SAMPLES", smoke ? 1 : 3);
   report::print_header(
-      std::cout, "Compiled tree — flat-array predict vs pointer-tree walk "
+      std::cout, "Compiled tree — per-point predict vs memoized sweep "
                  "(PP_SEED=" + std::to_string(seed) + ", best of " +
                  std::to_string(samples) + " runs)" +
                  (smoke ? " [smoke]" : ""));
@@ -80,7 +57,7 @@ int main() {
   tree::ProgramTree t = workloads::run_test2(workloads::random_test2(rng));
   tree::compress(t);
   // Annotate burdens up front so the memory-model half of the grid reads
-  // the same β_t tables through both paths.
+  // real β_t tables.
   {
     memmodel::CalibrationOptions copts;
     copts.machine = report::paper_options(core::Method::Synthesizer).machine;
@@ -118,36 +95,13 @@ int main() {
   };
 
   // Times are reported whole-grid and per method: the machine-replay
-  // methods (SYN/Real) spend their cycles in the vCPU simulation either
-  // way, so the flat-array win concentrates in the analytical emulators.
+  // methods (SYN/Real) dominate, which is where the DES work shows.
   const auto method_index = [](core::Method m) {
     return static_cast<std::size_t>(m);
   };
   const std::size_t kMethods = 4;
 
-  // Pointer-tree reference: walk the Node graph for every point.
-  std::vector<core::SpeedupEstimate> reference;
-  double pointer_ms = 0.0;
-  std::vector<double> pointer_method_ms(kMethods, 0.0);
-  for (long s = 0; s < samples; ++s) {
-    std::vector<core::SpeedupEstimate> run;
-    run.reserve(points.size());
-    std::vector<double> per_method(kMethods, 0.0);
-    const auto t0 = std::chrono::steady_clock::now();
-    for (const core::SweepPoint& p : points) {
-      const auto tp = std::chrono::steady_clock::now();
-      run.push_back(predict_pointer(t, p.threads, options_at(p)));
-      per_method[method_index(p.method)] += ms_since(tp);
-    }
-    const double ms = ms_since(t0);
-    if (s == 0 || ms < pointer_ms) {
-      pointer_ms = ms;
-      pointer_method_ms = per_method;
-    }
-    reference = std::move(run);
-  }
-
-  // Compiled path: one compilation, then flat-array predicts.
+  // Per-point path: one compilation, then flat-array predicts.
   double compile_ms = 0.0;
   double compiled_ms = 0.0;
   std::vector<double> compiled_method_ms(kMethods, 0.0);
@@ -240,38 +194,29 @@ int main() {
 
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < points.size(); ++i) {
-    const auto& a = reference[i];
     const auto& b = compiled_cells[i];
     const auto& c = sweep_cells[i];
-    if (a.speedup != b.speedup || a.parallel_cycles != b.parallel_cycles ||
-        a.serial_cycles != b.serial_cycles || b.speedup != c.speedup ||
-        b.parallel_cycles != c.parallel_cycles ||
+    if (b.speedup != c.speedup || b.parallel_cycles != c.parallel_cycles ||
         b.serial_cycles != c.serial_cycles) {
       ++mismatches;
     }
   }
 
-  const double speedup = compiled_ms > 0.0 ? pointer_ms / compiled_ms : 0.0;
-  util::Table table({"grid slice", "pointer ms", "compiled ms", "speedup"});
-  table.add_row({"whole grid", util::fmt_f(pointer_ms, 2),
-                 util::fmt_f(compiled_ms, 2), util::fmt_f(speedup, 2) + "x"});
+  util::Table table({"grid slice", "wall ms"});
+  table.add_row({"per-point predict, whole grid",
+                 util::fmt_f(compiled_ms, 2)});
   for (const core::Method m :
        {core::Method::FastForward, core::Method::Synthesizer,
         core::Method::Suitability, core::Method::GroundTruth}) {
-    const double pm = pointer_method_ms[method_index(m)];
-    const double cm = compiled_method_ms[method_index(m)];
-    table.add_row({std::string("method ") + core::to_string(m),
-                   util::fmt_f(pm, 2), util::fmt_f(cm, 2),
-                   util::fmt_f(cm > 0.0 ? pm / cm : 0.0, 2) + "x"});
+    table.add_row({std::string("  method ") + core::to_string(m),
+                   util::fmt_f(compiled_method_ms[method_index(m)], 2)});
   }
-  const double sweep_speedup = sweep_ms > 0.0 ? pointer_ms / sweep_ms : 0.0;
-  table.add_row({"compiled + memoized sweep", util::fmt_f(pointer_ms, 2),
-                 util::fmt_f(sweep_ms, 2),
-                 util::fmt_f(sweep_speedup, 2) + "x"});
-  table.add_row({"compile (once)", "-", util::fmt_f(compile_ms, 2), "-"});
+  table.add_row({"memoized sweep, whole grid", util::fmt_f(sweep_ms, 2)});
+  table.add_row({"compile (once)", util::fmt_f(compile_ms, 2)});
   table.print(std::cout);
-  std::cout << "all " << points.size() << " cells bit-identical to pointer "
-            << "path: " << (mismatches == 0 ? "yes" : "NO — BUG") << "\n";
+  std::cout << "all " << points.size() << " cells bit-identical between "
+            << "per-point predict and the memoized sweep: "
+            << (mismatches == 0 ? "yes" : "NO — BUG") << "\n";
 
   const double predict_loop_speedup =
       batched_ms > 0.0 ? predict_loop_ms / batched_ms : 0.0;
@@ -295,12 +240,9 @@ int main() {
                             static_cast<std::uint64_t>(t.node_count())));
   out.set("grid_points", serve::JsonValue(
                              static_cast<std::uint64_t>(points.size())));
-  out.set("pointer_ms", serve::JsonValue(pointer_ms));
   out.set("compiled_ms", serve::JsonValue(compiled_ms));
   out.set("compile_once_ms", serve::JsonValue(compile_ms));
-  out.set("speedup", serve::JsonValue(speedup));
   out.set("sweep_ms", serve::JsonValue(sweep_ms));
-  out.set("sweep_speedup", serve::JsonValue(sweep_speedup));
   out.set("emul_grid_points", serve::JsonValue(
                                   static_cast<std::uint64_t>(epoints.size())));
   out.set("predict_loop_ms", serve::JsonValue(predict_loop_ms));
@@ -316,8 +258,6 @@ int main() {
          {core::Method::FastForward, core::Method::Synthesizer,
           core::Method::Suitability, core::Method::GroundTruth}) {
       serve::JsonValue row;
-      row.set("pointer_ms",
-              serve::JsonValue(pointer_method_ms[method_index(m)]));
       row.set("compiled_ms",
               serve::JsonValue(compiled_method_ms[method_index(m)]));
       per_method.emplace(core::to_string(m), std::move(row));
@@ -333,7 +273,8 @@ int main() {
 
   if (mismatches > 0) {
     std::cerr << "FAIL: " << mismatches
-              << " cells differed between the pointer and compiled paths\n";
+              << " cells differed between per-point predict and the "
+                 "memoized sweep\n";
     return 1;
   }
   if (engine_mismatches > 0) {

@@ -31,7 +31,7 @@ int main() {
   report::print_header(std::cout,
                        "Figure 5 — FF emulation of three schedules "
                        "(I0=650, I1=600, I2=250 cycles; one lock; 2 cores)");
-  const tree::ProgramTree t = figure5_tree();
+  const tree::CompiledTree ct = tree::CompiledTree::compile(figure5_tree());
 
   struct Case {
     const char* name;
@@ -53,7 +53,7 @@ int main() {
     cfg.schedule = c.sched;
     cfg.chunk = 1;
     cfg.overheads = runtime::OmpOverheads{0, 0, 0, 0, 0, 0, 0};  // ε = 0
-    const emul::FfResult r = emul::emulate_ff(t, cfg);
+    const emul::FfResult r = emul::emulate_ff(ct, cfg);
     table.add_row({c.name, std::to_string(r.parallel_cycles),
                    util::fmt_f(r.speedup(), 2),
                    std::to_string(c.paper_cycles) + "+eps",
@@ -77,7 +77,7 @@ int main() {
     machine::Timeline tl;
     runtime::ExecMode mode = runtime::ExecMode::real();
     mode.timeline = &tl;
-    runtime::run_tree_omp(t, mcfg, ocfg, mode);
+    runtime::run_tree_omp(ct, mcfg, ocfg, mode);
     std::cout << "\n" << c.name << ":\n";
     tl.print(std::cout);
   }

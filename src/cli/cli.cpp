@@ -499,17 +499,18 @@ int cmd_timeline(const Options& opts, std::ostream& out, std::ostream& err) {
   const core::PredictOptions base = report::paper_options(core::Method::GroundTruth);
   machine::MachineConfig mcfg = base.machine;
   mcfg.cores = opts.cores;
+  const tree::CompiledTree ct = tree::CompiledTree::compile(*t);
   runtime::RunResult r;
   if (opts.paradigm == core::Paradigm::OpenMP) {
     runtime::OmpConfig c;
     c.num_threads = threads;
     c.schedule = opts.schedule;
     c.chunk = opts.chunk;
-    r = runtime::run_tree_omp(*t, mcfg, c, mode);
+    r = runtime::run_tree_omp(ct, mcfg, c, mode);
   } else {
     runtime::CilkConfig c;
     c.num_workers = threads;
-    r = runtime::run_tree_cilk(*t, mcfg, c, mode);
+    r = runtime::run_tree_cilk(ct, mcfg, c, mode);
   }
   const Cycles serial = core::serial_cycles_of(*t);
   out << "emulated " << threads << " threads ("

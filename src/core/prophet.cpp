@@ -8,9 +8,6 @@
 namespace pprophet::core {
 namespace {
 
-using tree::Node;
-using tree::NodeKind;
-
 runtime::OmpConfig omp_config(const PredictOptions& o, CoreCount threads) {
   runtime::OmpConfig c;
   c.num_threads = threads;
@@ -36,24 +33,8 @@ runtime::ExecMode exec_mode(const PredictOptions& o, bool synth) {
   return m;
 }
 
-/// One synthesizer/ground-truth run of a single top-level section.
-Cycles run_one_section(const Node& sec, CoreCount threads,
-                       const PredictOptions& o, bool synth) {
-  const runtime::ExecMode mode = exec_mode(o, synth);
-  runtime::RunResult r;
-  if (o.paradigm == Paradigm::OpenMP) {
-    r = runtime::run_section_omp(sec, o.machine, omp_config(o, threads),
-                                 mode);
-  } else {
-    r = runtime::run_section_cilk(sec, o.machine, cilk_config(o, threads),
-                                  mode);
-  }
-  return synth ? r.net() : r.elapsed;
-}
-
-/// Compiled counterpart of run_one_section. Where the pointer path strips
-/// burdens by cloning the section (Synthesizer without the memory model),
-/// this sets ExecMode::unit_burden instead — same β = 1, no copy.
+/// One synthesizer/ground-truth run of top-level section `s`. Synthesizer
+/// without the memory model predicts with β = 1 (ExecMode::unit_burden).
 Cycles run_one_section(const tree::CompiledTree& ct, std::uint32_t s,
                        CoreCount threads, const PredictOptions& o,
                        bool synth) {
@@ -98,42 +79,6 @@ Cycles serial_cycles_of(const tree::ProgramTree& tree) {
 
 namespace {
 
-Cycles section_cycles_impl(const tree::Node& sec, CoreCount threads,
-                           const PredictOptions& options) {
-  switch (options.method) {
-    case Method::FastForward: {
-      emul::FfConfig ff;
-      ff.num_threads = threads;
-      ff.schedule = options.schedule;
-      ff.chunk = options.chunk;
-      ff.overheads = options.omp_overheads;
-      ff.apply_burden = options.memory_model;
-      ff.timeline = options.timeline;
-      return emul::emulate_ff_section(sec, ff).parallel_cycles;
-    }
-    case Method::Suitability: {
-      emul::SuitabilityConfig cfg;
-      cfg.num_threads = threads;
-      return emul::emulate_suitability_section(sec, cfg).parallel_cycles;
-    }
-    case Method::Synthesizer: {
-      // In synth mode burden factors are read off the tree; if the caller
-      // did not ask for the memory model, strip them by predicting with
-      // burden == 1 (the tree carries them only when annotate_burdens ran,
-      // and Node::burden returns 1 when absent).
-      if (options.memory_model) {
-        return run_one_section(sec, threads, options, true);
-      }
-      const tree::NodePtr plain = sec.clone();
-      plain->set_burden(threads, 1.0);
-      return run_one_section(*plain, threads, options, true);
-    }
-    case Method::GroundTruth:
-      return run_one_section(sec, threads, options, false);
-  }
-  throw std::logic_error("predict_section_cycles: unknown method");
-}
-
 Cycles section_cycles_impl(const tree::CompiledTree& ct, std::uint32_t s,
                            CoreCount threads, const PredictOptions& options) {
   switch (options.method) {
@@ -170,19 +115,6 @@ void record_section_cycles(Method method, Cycles cycles) {
 }
 
 }  // namespace
-
-Cycles predict_section_cycles(const tree::Node& sec, CoreCount threads,
-                              const PredictOptions& options) {
-  if (sec.kind() != NodeKind::Sec) {
-    throw std::invalid_argument("predict_section_cycles: node is not a Sec");
-  }
-  if (threads == 0) {
-    throw std::invalid_argument("predict_section_cycles: zero threads");
-  }
-  const Cycles cycles = section_cycles_impl(sec, threads, options);
-  record_section_cycles(options.method, cycles);
-  return cycles;
-}
 
 Cycles predict_section_cycles(const tree::CompiledTree& compiled,
                               std::uint32_t s, CoreCount threads,

@@ -63,7 +63,7 @@ struct SpeedupEstimate {
 
 /// Projects the speedup of the profiled program on `threads` threads.
 /// Compiles the tree once (tree::CompiledTree) and predicts over the flat
-/// arrays; bit-identical to the pointer-tree reference path.
+/// arrays.
 SpeedupEstimate predict(const tree::ProgramTree& tree, CoreCount threads,
                         const PredictOptions& options);
 
@@ -72,19 +72,12 @@ SpeedupEstimate predict(const tree::ProgramTree& tree, CoreCount threads,
 SpeedupEstimate predict(const tree::CompiledTree& compiled, CoreCount threads,
                         const PredictOptions& options);
 
-/// Projected parallel duration of ONE repetition of the top-level section
-/// `sec` under `options` — the per-section term of the §IV-E composition.
-/// predict() sums estimates from this function; the sweep engine
-/// (core/sweep.hpp) sums the same terms, from this function for SYN/Real
-/// and from the bit-identical batched evaluators for FF/Suitability. `sec`
-/// must be a Sec node. This overload walks the
-/// pointer tree and is the reference implementation the compiled path is
-/// tested against (tests/tree/test_compile.cpp).
-Cycles predict_section_cycles(const tree::Node& sec, CoreCount threads,
-                              const PredictOptions& options);
-
-/// Compiled-path equivalent: section `s` of `compiled` (an index into its
-/// top-level-section table). Bit-identical to the pointer overload.
+/// Projected parallel duration of ONE repetition of top-level section `s`
+/// of `compiled` (an index into its top-level-section table) under
+/// `options` — the per-section term of the §IV-E composition. predict()
+/// sums estimates from this function; the sweep engine (core/sweep.hpp)
+/// sums the same terms, from this function for SYN/Real and from the
+/// bit-identical batched evaluators for FF/Suitability.
 Cycles predict_section_cycles(const tree::CompiledTree& compiled,
                               std::uint32_t s, CoreCount threads,
                               const PredictOptions& options);

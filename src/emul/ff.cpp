@@ -23,16 +23,14 @@ using tree::NodeKind;
 
 constexpr Cycles kInf = std::numeric_limits<Cycles>::max();
 
-/// The fast-forwarding engine for one top-level section, written once over
-/// a tree view (runtime/tree_view.hpp): PtrTreeView walks the Node heap,
-/// FlatTreeView walks CompiledTree arrays. Every scheduling decision is
-/// made in the same order under both, so results are bit-identical.
-template <class View>
+/// The fast-forwarding engine for one top-level section, reading the
+/// compiled tree through FlatTreeView (runtime/tree_view.hpp).
 class FfEngine {
-  using NodeRef = typename View::NodeRef;
-  using ChildCursor = typename View::ChildCursor;
-  using SectionHandle = typename View::SectionHandle;
-  using LockTable = typename View::LockTable;
+  using View = runtime::FlatTreeView;
+  using NodeRef = View::NodeRef;
+  using ChildCursor = View::ChildCursor;
+  using SectionHandle = View::SectionHandle;
+  using LockTable = View::LockTable;
 
   struct Context;
 
@@ -1099,18 +1097,6 @@ class FfSectionBatch::Impl {
   const ScaledTab* g_scaled_ = nullptr;
 };
 
-FfResult emulate_ff_section(const tree::Node& sec, const FfConfig& cfg) {
-  if (sec.kind() != NodeKind::Sec) {
-    throw std::invalid_argument("emulate_ff_section: node is not a Sec");
-  }
-  check_cfg(cfg);
-  FfResult r;
-  r.serial_cycles = sec.serial_work();
-  FfEngine<runtime::PtrTreeView> engine(runtime::PtrTreeView{}, cfg);
-  r.parallel_cycles = fork_cost(cfg) + engine.run_section(&sec);
-  return r;
-}
-
 FfResult emulate_ff_section(const tree::CompiledTree& ct,
                             std::uint32_t section, const FfConfig& cfg) {
   if (section >= ct.section_count()) {
@@ -1119,31 +1105,13 @@ FfResult emulate_ff_section(const tree::CompiledTree& ct,
   check_cfg(cfg);
   const tree::NodeId sec = ct.section_node(section);
   FfResult r;
-  // Node::serial_work multiplies by the node's own repeat; the aggregates
-  // cover one repetition.
+  // The aggregates cover one repetition; the serial work counts every
+  // repetition of the section.
   r.serial_cycles =
       ct.section_aggregates(section).total_leaf_work * ct.repeat(sec);
-  FfEngine<runtime::FlatTreeView> engine(runtime::FlatTreeView{&ct}, cfg);
+  FfEngine engine(runtime::FlatTreeView{&ct}, cfg);
   r.parallel_cycles = fork_cost(cfg) + engine.run_section(sec);
   return r;
-}
-
-FfResult emulate_ff(const tree::ProgramTree& tree, const FfConfig& cfg) {
-  if (!tree.root) throw std::invalid_argument("emulate_ff: empty tree");
-  FfResult total;
-  for (const auto& child : tree.root->children()) {
-    for (std::uint64_t rep = 0; rep < child->repeat(); ++rep) {
-      if (child->kind() == NodeKind::U) {
-        total.serial_cycles += child->length();
-        total.parallel_cycles += child->length();
-      } else if (child->kind() == NodeKind::Sec) {
-        const FfResult r = emulate_ff_section(*child, cfg);
-        total.serial_cycles += r.serial_cycles;
-        total.parallel_cycles += r.parallel_cycles;
-      }
-    }
-  }
-  return total;
 }
 
 FfResult emulate_ff(const tree::CompiledTree& ct, const FfConfig& cfg) {

@@ -24,7 +24,6 @@
 #include "runtime/iter_sched.hpp"
 #include "runtime/overheads.hpp"
 #include "tree/compile.hpp"
-#include "tree/node.hpp"
 
 namespace pprophet::machine {
 class Timeline;
@@ -58,18 +57,14 @@ struct FfResult {
   }
 };
 
-/// Emulates the whole tree: serial top-level U nodes run on the master;
-/// each top-level section is fast-forwarded on `num_threads` virtual CPUs.
-FfResult emulate_ff(const tree::ProgramTree& tree, const FfConfig& cfg);
-
-/// Emulates a single top-level section. Returns its projected parallel
-/// duration (serial_cycles is the section's serial work).
-FfResult emulate_ff_section(const tree::Node& sec, const FfConfig& cfg);
-
-/// Compiled-tree overloads: same engine over flat arrays — no allocation
-/// per emulation, bit-identical results (tests/tree/test_compile.cpp).
-/// `section` indexes the compiled tree's top-level-section table.
+/// Emulates the whole compiled tree: serial top-level U nodes run on the
+/// master; each top-level section is fast-forwarded on `num_threads`
+/// virtual CPUs.
 FfResult emulate_ff(const tree::CompiledTree& ct, const FfConfig& cfg);
+
+/// Emulates top-level section `section` (an index into the compiled tree's
+/// top-level-section table). Returns its projected parallel duration
+/// (serial_cycles is the section's serial work).
 FfResult emulate_ff_section(const tree::CompiledTree& ct,
                             std::uint32_t section, const FfConfig& cfg);
 

@@ -19,16 +19,6 @@ FfConfig suitability_ff_config(const SuitabilityConfig& cfg) {
   return ff;
 }
 
-FfResult emulate_suitability(const tree::ProgramTree& tree,
-                             const SuitabilityConfig& cfg) {
-  return emulate_ff(tree, suitability_ff_config(cfg));
-}
-
-FfResult emulate_suitability_section(const tree::Node& sec,
-                                     const SuitabilityConfig& cfg) {
-  return emulate_ff_section(sec, suitability_ff_config(cfg));
-}
-
 FfResult emulate_suitability(const tree::CompiledTree& ct,
                              const SuitabilityConfig& cfg) {
   return emulate_ff(ct, suitability_ff_config(cfg));

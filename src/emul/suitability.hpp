@@ -32,17 +32,12 @@ struct SuitabilityConfig {
   Cycles lock_overhead = 250;
 };
 
-FfResult emulate_suitability(const tree::ProgramTree& tree,
+FfResult emulate_suitability(const tree::CompiledTree& ct,
                              const SuitabilityConfig& cfg);
 
 /// Emulates a single top-level section (the §IV-E per-section term), so the
 /// sweep engine can memoize Suitability results section by section.
-FfResult emulate_suitability_section(const tree::Node& sec,
-                                     const SuitabilityConfig& cfg);
-
-/// Compiled-tree overloads (see emul/ff.hpp): flat arrays, bit-identical.
-FfResult emulate_suitability(const tree::CompiledTree& ct,
-                             const SuitabilityConfig& cfg);
+/// `section` indexes the compiled tree's top-level-section table.
 FfResult emulate_suitability_section(const tree::CompiledTree& ct,
                                      std::uint32_t section,
                                      const SuitabilityConfig& cfg);

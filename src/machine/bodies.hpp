@@ -11,10 +11,9 @@
 
 namespace pprophet::machine {
 
-/// Forward-only walk over a child range of a CompiledTree — the flat-array
-/// replacement for a (parent, child-index) cursor into a Node's children
-/// vector. Replay bodies hold one of these per traversal frame instead of a
-/// Node pointer, so body generation allocates nothing per prediction.
+/// Forward-only walk over a child range of a CompiledTree. Replay bodies
+/// hold one of these per traversal frame, so body generation allocates
+/// nothing per prediction.
 struct FlatChildWalk {
   tree::NodeId cur = tree::kNoNode;
   tree::NodeId stop = tree::kNoNode;  ///< exclusive sibling bound
@@ -24,8 +23,8 @@ struct FlatChildWalk {
                                    tree::NodeId n) {
     return {ct.first_child(n), tree::kNoNode};
   }
-  /// Just `n` itself — lets a single top-level section replay in place
-  /// where the pointer path would clone it under a synthetic root.
+  /// Just `n` itself — lets a single top-level section replay in place,
+  /// as the only child of an implicit root.
   static FlatChildWalk single(const tree::CompiledTree& ct, tree::NodeId n) {
     return {n, ct.next_sibling(n)};
   }

@@ -19,9 +19,8 @@ using machine::Op;
 using machine::ThreadId;
 using tree::NodeKind;
 
-// Like the OpenMP executor, the replay is a template over a tree view
-// (runtime/tree_view.hpp), instantiated for the pointer tree and for
-// CompiledTree flat arrays with bit-identical scheduling decisions.
+// Like the OpenMP executor, the replay reads the compiled tree through
+// FlatTreeView (runtime/tree_view.hpp).
 
 /// Join counter for one spawned fan-out (a Sec's iterations). pending counts
 /// outstanding items; the event fires when it reaches zero.
@@ -31,34 +30,32 @@ struct Join {
 };
 
 /// A deque entry: a contiguous range of logical iterations of one section.
-template <class View>
 struct CilkItem {
-  typename View::NodeRef sec{};
-  const typename View::SectionHandle* index = nullptr;
+  tree::NodeId sec{};
+  const tree::CompiledTree::TaskTable* index = nullptr;
   std::uint64_t begin = 0;
   std::uint64_t end = 0;
   Join* join = nullptr;
   LeafCostModel leaf{};
 };
 
-template <class View>
 struct CilkRuntime {
-  View view;
+  FlatTreeView view;
   CilkConfig cfg;
   ExecMode mode;
   Machine* m = nullptr;
-  std::vector<std::deque<CilkItem<View>>> deques;  // per worker
+  std::vector<std::deque<CilkItem>> deques;  // per worker
   std::vector<std::unique_ptr<Join>> joins;
   /// Section handles shared by all items of one fan-out. A deque never
   /// relocates existing elements on push_back, so the borrowed pointers in
   /// CilkItem stay valid.
-  std::deque<typename View::SectionHandle> indices;
+  std::deque<tree::CompiledTree::TaskTable> indices;
   std::vector<Cycles> thread_overhead;  // synth traversal, by worker rank
   bool program_done = false;
   machine::WaitHandle idle_evt = 0;  // current sleep latch for idle workers
   util::Xoshiro256 steal_rng;
 
-  CilkRuntime(const View& v, const CilkConfig& c, const ExecMode& md)
+  CilkRuntime(const FlatTreeView& v, const CilkConfig& c, const ExecMode& md)
       : view(v), cfg(c), mode(md), steal_rng(c.steal_seed) {
     deques.resize(cfg.num_workers);
     thread_overhead.resize(cfg.num_workers, 0);
@@ -77,7 +74,7 @@ struct CilkRuntime {
     return joins.back().get();
   }
 
-  const typename View::SectionHandle* make_index(typename View::NodeRef sec) {
+  const tree::CompiledTree::TaskTable* make_index(tree::NodeId sec) {
     indices.push_back(view.section(sec));
     return &indices.back();
   }
@@ -85,19 +82,19 @@ struct CilkRuntime {
   // Note: pushing work does not wake sleepers by itself — the pushing
   // CilkBody follows up with a Notify op (wake_sleepers) so the wake-up is
   // charged to simulated time like a real futex wake.
-  void push_item(std::uint32_t worker, CilkItem<View> item) {
+  void push_item(std::uint32_t worker, CilkItem item) {
     deques[worker].push_back(item);
   }
 
-  std::optional<CilkItem<View>> pop_own(std::uint32_t worker) {
+  std::optional<CilkItem> pop_own(std::uint32_t worker) {
     auto& d = deques[worker];
     if (d.empty()) return std::nullopt;
-    CilkItem<View> item = d.back();
+    CilkItem item = d.back();
     d.pop_back();
     return item;
   }
 
-  std::optional<std::pair<CilkItem<View>, std::uint32_t>> steal(
+  std::optional<std::pair<CilkItem, std::uint32_t>> steal(
       std::uint32_t thief) {
     const std::uint32_t n = cfg.num_workers;
     const auto start = static_cast<std::uint32_t>(
@@ -105,7 +102,7 @@ struct CilkRuntime {
     for (std::uint32_t k = 0; k < n; ++k) {
       const std::uint32_t victim = (start + k) % n;
       if (victim == thief || deques[victim].empty()) continue;
-      CilkItem<View> item = deques[victim].front();
+      CilkItem item = deques[victim].front();
       deques[victim].pop_front();
       return std::make_pair(item, victim);
     }
@@ -129,7 +126,7 @@ struct CilkRuntime {
     return mx;
   }
 
-  LeafCostModel top_level_leaf(typename View::NodeRef sec) const {
+  LeafCostModel top_level_leaf(tree::NodeId sec) const {
     LeafCostModel leaf;
     leaf.mode = mode.leaf_mode;
     if (synth()) {
@@ -142,18 +139,17 @@ struct CilkRuntime {
   }
 };
 
-template <class View>
 class CilkBody final : public machine::ThreadBody {
-  using NodeRef = typename View::NodeRef;
-  using ChildCursor = typename View::ChildCursor;
-  using Item = CilkItem<View>;
+  using NodeRef = tree::NodeId;
+  using ChildCursor = machine::FlatChildWalk;
+  using Item = CilkItem;
 
  public:
   /// Plain worker with no initial frames.
-  CilkBody(CilkRuntime<View>& rt, std::uint32_t rank) : rt_(rt), rank_(rank) {}
+  CilkBody(CilkRuntime& rt, std::uint32_t rank) : rt_(rt), rank_(rank) {}
 
   /// Worker 0: owns the walk over the given top-level child range.
-  CilkBody(CilkRuntime<View>& rt, std::uint32_t rank, ChildCursor walk,
+  CilkBody(CilkRuntime& rt, std::uint32_t rank, ChildCursor walk,
            bool top_level)
       : rt_(rt), rank_(rank) {
     LeafCostModel serial_leaf;
@@ -253,7 +249,7 @@ class CilkBody final : public machine::ThreadBody {
       stack_.push_back(SyncFrame{j});
       return;
     }
-    const View& view = rt_.view;
+    const FlatTreeView& view = rt_.view;
     if (view.cursor_done(f.walk)) {
       stack_.pop_back();
       return;
@@ -327,7 +323,7 @@ class CilkBody final : public machine::ThreadBody {
     }
     if (f.cur < f.item.end) {
       const std::uint64_t i = f.cur++;
-      const View& view = rt_.view;
+      const FlatTreeView& view = rt_.view;
       stack_.push_back(
           TaskFrame{view.children(view.task_at(*f.item.index, i)),
                     f.item.leaf, 0, nullptr, false});
@@ -393,15 +389,14 @@ class CilkBody final : public machine::ThreadBody {
     }
   }
 
-  CilkRuntime<View>& rt_;
+  CilkRuntime& rt_;
   std::uint32_t rank_;
   std::vector<Frame> stack_;
   std::deque<Op> pending_;
   int idle_probes_ = 0;
 };
 
-template <class View>
-RunResult run_walk_cilk(const View& view, typename View::ChildCursor walk,
+RunResult run_walk_cilk(const FlatTreeView& view, machine::FlatChildWalk walk,
                         const machine::MachineConfig& mcfg,
                         const CilkConfig& ccfg, const ExecMode& mode) {
   if (ccfg.num_workers == 0) {
@@ -409,12 +404,12 @@ RunResult run_walk_cilk(const View& view, typename View::ChildCursor walk,
   }
   Machine machine(mcfg);
   machine.set_timeline(mode.timeline);
-  CilkRuntime<View> rt(view, ccfg, mode);
+  CilkRuntime rt(view, ccfg, mode);
   rt.m = &machine;
   machine.spawn_thread(
-      std::make_unique<CilkBody<View>>(rt, 0, walk, /*top_level=*/true));
+      std::make_unique<CilkBody>(rt, 0, walk, /*top_level=*/true));
   for (std::uint32_t w = 1; w < ccfg.num_workers; ++w) {
-    machine.spawn_thread(std::make_unique<CilkBody<View>>(rt, w));
+    machine.spawn_thread(std::make_unique<CilkBody>(rt, w));
   }
   RunResult result;
   result.stats = machine.run();
@@ -424,27 +419,6 @@ RunResult run_walk_cilk(const View& view, typename View::ChildCursor walk,
 }
 
 }  // namespace
-
-RunResult run_tree_cilk(const tree::ProgramTree& tree,
-                        const machine::MachineConfig& mcfg,
-                        const CilkConfig& ccfg, const ExecMode& mode) {
-  if (!tree.root) throw std::invalid_argument("cilk executor: empty tree");
-  const PtrTreeView view;
-  return run_walk_cilk(view, view.children(tree.root.get()), mcfg, ccfg,
-                       mode);
-}
-
-RunResult run_section_cilk(const tree::Node& sec,
-                           const machine::MachineConfig& mcfg,
-                           const CilkConfig& ccfg, const ExecMode& mode) {
-  if (sec.kind() != NodeKind::Sec) {
-    throw std::invalid_argument("run_section_cilk: node is not a Sec");
-  }
-  tree::Node root(NodeKind::Root, "root");
-  root.add_child(sec.clone());
-  const PtrTreeView view;
-  return run_walk_cilk(view, view.children(&root), mcfg, ccfg, mode);
-}
 
 RunResult run_tree_cilk(const tree::CompiledTree& ct,
                         const machine::MachineConfig& mcfg,

@@ -1,5 +1,5 @@
-// Cilk Plus runtime model: executes a program tree with a work-stealing
-// scheduler on the simulated machine.
+// Cilk Plus runtime model: executes a compiled program tree with a
+// work-stealing scheduler on the simulated machine.
 //
 // The paper parallelizes the recursive benchmarks (FFT-Cilk, QSort-Cilk)
 // with Cilk Plus because OpenMP 2.0 nested parallelism spawns too many OS
@@ -23,7 +23,7 @@
 #include "machine/machine.hpp"
 #include "runtime/omp_executor.hpp"  // ExecMode, RunResult
 #include "runtime/overheads.hpp"
-#include "tree/node.hpp"
+#include "tree/compile.hpp"
 
 namespace pprophet::runtime {
 
@@ -37,22 +37,14 @@ struct CilkConfig {
   std::uint64_t steal_seed = 0x9d5c'1f2e'33aa'4712ULL;
 };
 
-/// Runs a whole program tree with the Cilk model.
-RunResult run_tree_cilk(const tree::ProgramTree& tree,
-                        const machine::MachineConfig& mcfg,
-                        const CilkConfig& ccfg, const ExecMode& mode);
-
-/// Runs a single top-level section (Sec node) with the Cilk model.
-RunResult run_section_cilk(const tree::Node& sec,
-                           const machine::MachineConfig& mcfg,
-                           const CilkConfig& ccfg, const ExecMode& mode);
-
-/// Compiled-tree overloads (see omp_executor.hpp): same replay over flat
-/// arrays, no allocation per prediction, bit-identical results. `section`
-/// indexes the compiled tree's top-level-section table.
+/// Runs a whole compiled program tree with the Cilk model. Body generation
+/// allocates nothing per prediction.
 RunResult run_tree_cilk(const tree::CompiledTree& ct,
                         const machine::MachineConfig& mcfg,
                         const CilkConfig& ccfg, const ExecMode& mode);
+
+/// Runs a single top-level section with the Cilk model. `section` indexes
+/// the compiled tree's top-level-section table.
 RunResult run_section_cilk(const tree::CompiledTree& ct, std::uint32_t section,
                            const machine::MachineConfig& mcfg,
                            const CilkConfig& ccfg, const ExecMode& mode);

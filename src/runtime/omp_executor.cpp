@@ -17,36 +17,33 @@ using machine::Op;
 using machine::ThreadId;
 using tree::NodeKind;
 
-// The replay is written once over a tree view (runtime/tree_view.hpp) and
-// instantiated for the pointer tree and for CompiledTree flat arrays; both
-// make identical decisions in identical order, so results are bit-identical.
+// The replay reads the compiled tree through FlatTreeView
+// (runtime/tree_view.hpp).
 
 /// Shared state of one forked parallel region.
-template <class View>
 struct TeamContext {
-  typename View::NodeRef sec{};
-  typename View::SectionHandle index;
+  tree::NodeId sec{};
+  tree::CompiledTree::TaskTable index;
   std::unique_ptr<IterScheduler> sched;
   std::uint32_t size = 0;
   std::uint32_t arrivals = 0;
   machine::WaitHandle done = 0;
   LeafCostModel leaf{};
 
-  TeamContext(typename View::NodeRef s, typename View::SectionHandle h)
+  TeamContext(tree::NodeId s, tree::CompiledTree::TaskTable h)
       : sec(s), index(std::move(h)) {}
 };
 
 /// Per-run shared services: configuration, team ownership, synth-overhead
 /// tracking.
-template <class View>
 struct OmpRuntime {
-  View view;
+  FlatTreeView view;
   OmpConfig cfg;
   ExecMode mode;
-  std::vector<std::unique_ptr<TeamContext<View>>> teams;
+  std::vector<std::unique_ptr<TeamContext>> teams;
   std::vector<Cycles> thread_overhead;  // synth traversal cost by ThreadId
 
-  OmpRuntime(const View& v, const OmpConfig& c, const ExecMode& m)
+  OmpRuntime(const FlatTreeView& v, const OmpConfig& c, const ExecMode& m)
       : view(v), cfg(c), mode(m) {}
 
   bool synth() const { return mode.leaf_mode == LeafCostModel::Mode::Synth; }
@@ -62,10 +59,9 @@ struct OmpRuntime {
     return m;
   }
 
-  TeamContext<View>* open_team(Machine& m, typename View::NodeRef sec,
-                               const LeafCostModel& leaf) {
-    auto team =
-        std::make_unique<TeamContext<View>>(sec, view.section(sec));
+  TeamContext* open_team(Machine& m, tree::NodeId sec,
+                         const LeafCostModel& leaf) {
+    auto team = std::make_unique<TeamContext>(sec, view.section(sec));
     team->size = cfg.num_threads;
     team->sched = make_scheduler(cfg.schedule, view.trip_count(team->index),
                                  cfg.num_threads, cfg.chunk);
@@ -77,7 +73,7 @@ struct OmpRuntime {
 
   /// LeafCostModel for a *top-level* section: counters (Real) or burden
   /// factor (Synth) of that section.
-  LeafCostModel top_level_leaf(typename View::NodeRef sec) const {
+  LeafCostModel top_level_leaf(tree::NodeId sec) const {
     LeafCostModel leaf;
     leaf.mode = mode.leaf_mode;
     if (synth()) {
@@ -98,24 +94,22 @@ struct OmpRuntime {
   }
 };
 
-template <class View>
 class OmpBody final : public machine::ThreadBody {
-  using NodeRef = typename View::NodeRef;
-  using ChildCursor = typename View::ChildCursor;
+  using NodeRef = tree::NodeId;
+  using ChildCursor = machine::FlatChildWalk;
 
  public:
   /// Program master: walks the given child range sequentially. `top_level`
   /// marks the range as root-level (sections encountered there own their
   /// burden factor / counters).
-  OmpBody(OmpRuntime<View>& rt, ChildCursor walk, bool top_level) : rt_(rt) {
+  OmpBody(OmpRuntime& rt, ChildCursor walk, bool top_level) : rt_(rt) {
     LeafCostModel serial_leaf;  // top-level serial code: no split, burden 1
     serial_leaf.mode = rt.mode.leaf_mode;
     stack_.push_back(SeqFrame{walk, serial_leaf, 0, top_level});
   }
 
   /// Team worker with the given rank (>= 1; the master is rank 0).
-  OmpBody(OmpRuntime<View>& rt, TeamContext<View>* team, std::uint32_t rank)
-      : rt_(rt) {
+  OmpBody(OmpRuntime& rt, TeamContext* team, std::uint32_t rank) : rt_(rt) {
     stack_.push_back(TeamFrame{team, rank, /*is_master=*/false});
   }
 
@@ -143,7 +137,7 @@ class OmpBody final : public machine::ThreadBody {
 
   /// Participation in one parallel region.
   struct TeamFrame {
-    TeamContext<View>* team = nullptr;
+    TeamContext* team = nullptr;
     std::uint32_t rank = 0;
     bool is_master = false;
     enum class Phase : std::uint8_t { Fetch, Arrive, WaitDone, Done };
@@ -162,7 +156,7 @@ class OmpBody final : public machine::ThreadBody {
   }
 
   void step_seq(Machine& m, ThreadId self, SeqFrame& f) {
-    const View& view = rt_.view;
+    const FlatTreeView& view = rt_.view;
     if (view.cursor_done(f.walk)) {
       stack_.pop_back();
       return;
@@ -194,7 +188,7 @@ class OmpBody final : public machine::ThreadBody {
         }
         const LeafCostModel leaf =
             f.top_level ? rt_.top_level_leaf(c) : f.leaf;
-        TeamContext<View>* team = rt_.open_team(m, c, leaf);
+        TeamContext* team = rt_.open_team(m, c, leaf);
         pending_.push_back(Op::exec(
             ov.fork_base + ov.fork_per_thread * (rt_.cfg.num_threads - 1)));
         for (std::uint32_t r = 1; r < rt_.cfg.num_threads; ++r) {
@@ -210,8 +204,8 @@ class OmpBody final : public machine::ThreadBody {
   }
 
   void step_team(Machine& /*m*/, ThreadId /*self*/, TeamFrame& f) {
-    const View& view = rt_.view;
-    TeamContext<View>& team = *f.team;
+    const FlatTreeView& view = rt_.view;
+    TeamContext& team = *f.team;
     switch (f.phase) {
       case TeamFrame::Phase::Fetch: {
         if (f.range_active && f.next_iter < f.range.end) {
@@ -260,13 +254,12 @@ class OmpBody final : public machine::ThreadBody {
     }
   }
 
-  OmpRuntime<View>& rt_;
+  OmpRuntime& rt_;
   std::vector<Frame> stack_;
   std::deque<Op> pending_;
 };
 
-template <class View>
-RunResult run_walk(const View& view, typename View::ChildCursor walk,
+RunResult run_walk(const FlatTreeView& view, machine::FlatChildWalk walk,
                    const machine::MachineConfig& mcfg, const OmpConfig& ocfg,
                    const ExecMode& mode) {
   if (ocfg.num_threads == 0) {
@@ -274,9 +267,8 @@ RunResult run_walk(const View& view, typename View::ChildCursor walk,
   }
   Machine machine(mcfg);
   machine.set_timeline(mode.timeline);
-  OmpRuntime<View> rt(view, ocfg, mode);
-  machine.spawn_thread(
-      std::make_unique<OmpBody<View>>(rt, walk, /*top_level=*/true));
+  OmpRuntime rt(view, ocfg, mode);
+  machine.spawn_thread(std::make_unique<OmpBody>(rt, walk, /*top_level=*/true));
   RunResult result;
   result.stats = machine.run();
   result.elapsed = result.stats.finish_time;
@@ -285,26 +277,6 @@ RunResult run_walk(const View& view, typename View::ChildCursor walk,
 }
 
 }  // namespace
-
-RunResult run_tree_omp(const tree::ProgramTree& tree,
-                       const machine::MachineConfig& mcfg,
-                       const OmpConfig& ocfg, const ExecMode& mode) {
-  if (!tree.root) throw std::invalid_argument("omp executor: empty tree");
-  const PtrTreeView view;
-  return run_walk(view, view.children(tree.root.get()), mcfg, ocfg, mode);
-}
-
-RunResult run_section_omp(const tree::Node& sec,
-                          const machine::MachineConfig& mcfg,
-                          const OmpConfig& ocfg, const ExecMode& mode) {
-  if (sec.kind() != NodeKind::Sec) {
-    throw std::invalid_argument("run_section_omp: node is not a Sec");
-  }
-  tree::Node root(NodeKind::Root, "root");
-  root.add_child(sec.clone());
-  const PtrTreeView view;
-  return run_walk(view, view.children(&root), mcfg, ocfg, mode);
-}
 
 RunResult run_tree_omp(const tree::CompiledTree& ct,
                        const machine::MachineConfig& mcfg,
@@ -319,9 +291,8 @@ RunResult run_section_omp(const tree::CompiledTree& ct, std::uint32_t section,
   if (section >= ct.section_count()) {
     throw std::invalid_argument("run_section_omp: section out of range");
   }
-  // The pointer path clones the section under a fresh Root; walking the
-  // single-node range in place replicates that traversal exactly (including
-  // the section's own repeat count) without the copy.
+  // Walk the single-node range holding the section, so its own repeat
+  // count replays inside the run.
   return run_walk(FlatTreeView{&ct},
                   machine::FlatChildWalk::single(ct, ct.section_node(section)),
                   mcfg, ocfg, mode);

@@ -1,5 +1,5 @@
-// OpenMP runtime model: executes a program tree "as if parallelized with
-// OpenMP" on the simulated machine.
+// OpenMP runtime model: executes a compiled program tree "as if
+// parallelized with OpenMP" on the simulated machine.
 //
 // Semantics modelled (matching the paper's prediction targets):
 //  * a parallel section (Sec node) forks a team of `num_threads` OS threads
@@ -29,7 +29,6 @@
 #include "runtime/memsplit.hpp"
 #include "runtime/overheads.hpp"
 #include "tree/compile.hpp"
-#include "tree/node.hpp"
 
 namespace pprophet::runtime {
 
@@ -51,9 +50,8 @@ struct ExecMode {
   /// (must match the vcpu cost model's DRAM latency for consistency).
   Cycles dram_stall = 200;
   /// Synth mode: force burden β = 1.0 for top-level sections regardless of
-  /// annotations (the "memory model off" prediction variant). The pointer
-  /// path historically strips burdens by cloning the section and writing
-  /// β = 1; a compiled tree is immutable, so this flag does it instead.
+  /// annotations (the "memory model off" prediction variant). A compiled
+  /// tree is immutable, so this flag strips the burdens instead.
   bool unit_burden = false;
 
   static ExecMode real() { return ExecMode{}; }
@@ -76,26 +74,17 @@ struct RunResult {
   machine::MachineStats stats{};
 };
 
-/// Runs a whole program tree (serial top-level U nodes on the master,
-/// parallel sections as OpenMP regions) on a fresh machine.
-RunResult run_tree_omp(const tree::ProgramTree& tree,
+/// Runs a whole compiled program tree (serial top-level U nodes on the
+/// master, parallel sections as OpenMP regions) on a fresh machine. Body
+/// generation allocates nothing per prediction.
+RunResult run_tree_omp(const tree::CompiledTree& ct,
                        const machine::MachineConfig& mcfg,
                        const OmpConfig& ocfg, const ExecMode& mode);
 
 /// Runs a single top-level parallel section (the synthesizer's
-/// EmulTopLevelParSec). `sec` must be a Sec node.
-RunResult run_section_omp(const tree::Node& sec,
-                          const machine::MachineConfig& mcfg,
-                          const OmpConfig& ocfg, const ExecMode& mode);
-
-/// Compiled-tree overloads: the same replay over flat arrays — body
-/// generation allocates nothing per prediction and results are
-/// bit-identical (tests/tree/test_compile.cpp). `section` indexes the
-/// compiled tree's top-level-section table; note the section's repeat
-/// count replays inside the run, exactly like the cloning pointer path.
-RunResult run_tree_omp(const tree::CompiledTree& ct,
-                       const machine::MachineConfig& mcfg,
-                       const OmpConfig& ocfg, const ExecMode& mode);
+/// EmulTopLevelParSec). `section` indexes the compiled tree's
+/// top-level-section table; the section's repeat count replays inside the
+/// run.
 RunResult run_section_omp(const tree::CompiledTree& ct, std::uint32_t section,
                           const machine::MachineConfig& mcfg,
                           const OmpConfig& ocfg, const ExecMode& mode);

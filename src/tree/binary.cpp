@@ -121,9 +121,12 @@ PackedTree read_packed_binary(std::istream& is) {
     throw std::runtime_error("pptb: unsupported version " +
                              std::to_string(version));
   }
+  // Counts come from the stream and are untrusted, so nothing is reserved
+  // from them: every entry consumes at least one byte, and a count larger
+  // than the stream runs out of bytes ("truncated stream") instead of
+  // allocating for it.
   PackedTree packed;
   const std::uint64_t dict_size = get_varint(is);
-  packed.dictionary.reserve(dict_size);
   for (std::uint64_t i = 0; i < dict_size; ++i) {
     PackedTree::Pattern p;
     const std::uint8_t kind = get_u8(is);
@@ -135,7 +138,6 @@ PackedTree read_packed_binary(std::istream& is) {
     p.length = get_varint(is);
     p.lock_id = static_cast<LockId>(get_varint(is));
     const std::uint64_t kids = get_varint(is);
-    p.children.reserve(kids);
     for (std::uint64_t k = 0; k < kids; ++k) {
       PackedTree::Ref r;
       r.pattern = static_cast<std::uint32_t>(get_varint(is));
@@ -151,7 +153,6 @@ PackedTree read_packed_binary(std::istream& is) {
     packed.dictionary.push_back(std::move(p));
   }
   const std::uint64_t top_size = get_varint(is);
-  packed.top.reserve(top_size);
   for (std::uint64_t i = 0; i < top_size; ++i) {
     PackedTree::Ref r;
     r.pattern = static_cast<std::uint32_t>(get_varint(is));

@@ -97,8 +97,8 @@ CompiledTree CompiledTree::compile(const ProgramTree& tree) {
 
   // Preorder emission: a node's record is appended before its children's,
   // so the root is id 0 and every first_child/next_sibling link points
-  // forward. Also builds the per-Sec run tables (the RLE expansion
-  // SectionIndex would otherwise rebuild per spawn) in the same pass.
+  // forward. Also builds the per-Sec run tables (the RLE expansion of each
+  // Sec's Task children into logical iterations) in the same pass.
   const auto emit = [&](auto&& self, const Node& n) -> NodeId {
     const NodeId id = static_cast<NodeId>(ct.kinds_.size());
     ct.kinds_.push_back(n.kind());

@@ -2,23 +2,25 @@
 // into structure-of-arrays storage for the emulator hot paths.
 //
 // The profiler records trees as unique_ptr-linked Node heaps — convenient to
-// build, expensive to replay: every sweep/serve request re-walks the pointer
-// graph once per (method, paradigm, schedule, chunk, threads) point, and the
-// executors allocate a fresh iteration index per spawned section. Compiling
-// once moves all of that out of the prediction loop:
+// build and edit, expensive to replay once per (method, paradigm, schedule,
+// chunk, threads) point. Every emulator therefore reads a CompiledTree;
+// compiling once moves the tree walk's bookkeeping out of the prediction
+// loop:
 //   * node records become contiguous parallel arrays (kind, length, lock id,
 //     repeat, barrier flag) linked by first-child/next-sibling uint32 ids;
 //   * every Sec's task-iteration table (the RLE cumulative-repeat expansion
-//     SectionIndex builds per spawn) is precomputed into two shared arrays;
+//     of its Task children) is precomputed into two shared arrays;
 //   * lock ids are remapped to a dense range so emulators can keep lock
 //     state in a flat vector instead of a std::map;
 //   * each top-level section carries precomputed aggregates and a 64-bit
 //     digest of everything emulation reads, reusable as the sweep memo and
 //     serve cache key (docs/SWEEP.md, docs/SERVE.md).
 //
-// Emulating a CompiledTree is bit-identical to emulating the Node tree it
-// was compiled from (enforced by tests/tree/test_compile.cpp over the
-// random-tree property generator). See docs/INTERNALS.md for the layout.
+// tests/tree/test_compile.cpp checks every compiled record, task table,
+// lock slot, burden table and counter set against the source Node heap
+// over the random-tree property generator, and pins the engines' results
+// over compiled trees with recorded goldens. See docs/INTERNALS.md for the
+// layout.
 #pragma once
 
 #include <cstdint>
@@ -85,8 +87,7 @@ class CompiledTree {
 
   // ---- per-Sec run tables (any Sec node, nested included) ----
   /// Borrowed view of one Sec's precomputed iteration table: logical
-  /// iteration index -> Task node id, the flat-array replacement for
-  /// runtime::SectionIndex. Valid while the CompiledTree lives.
+  /// iteration index -> Task node id. Valid while the CompiledTree lives.
   struct TaskTable {
     const CompiledTree* ct = nullptr;
     std::uint32_t offset = 0;  ///< first run in the shared run arrays
@@ -135,8 +136,7 @@ class CompiledTree {
     return sections_[s].aggregates;
   }
   /// Source-tree name of top-level section `s` (the annotation label), kept
-  /// for advisory output only — names never enter the digests, exactly as
-  /// in the pointer-tree digest rules.
+  /// for advisory output only — names never enter the digests.
   const std::string& section_name(std::uint32_t s) const {
     return sections_[s].name;
   }

@@ -10,6 +10,7 @@ namespace pprophet::emul {
 namespace {
 
 using runtime::OmpSchedule;
+using tree::CompiledTree;
 using tree::ProgramTree;
 using tree::TreeBuilder;
 
@@ -33,7 +34,7 @@ ProgramTree figure5_tree() {
 }
 
 TEST(Ff, SerialBaseline) {
-  const ProgramTree t = figure5_tree();
+  const CompiledTree t = CompiledTree::compile(figure5_tree());
   const FfResult r = emulate_ff(t, cfg(1, OmpSchedule::StaticBlock));
   EXPECT_EQ(r.serial_cycles, 1500u);
   EXPECT_EQ(r.parallel_cycles, 1500u);
@@ -42,21 +43,22 @@ TEST(Ff, SerialBaseline) {
 
 // Paper Figure 5, all three schedule cases, on two virtual CPUs.
 TEST(Ff, Figure5Static1) {
-  const FfResult r = emulate_ff(figure5_tree(),
+  const FfResult r = emulate_ff(CompiledTree::compile(figure5_tree()),
                                 cfg(2, OmpSchedule::StaticCyclic));
   EXPECT_EQ(r.parallel_cycles, 1150u);
   EXPECT_NEAR(r.speedup(), 1.30, 0.01);
 }
 
 TEST(Ff, Figure5StaticBlock) {
-  const FfResult r = emulate_ff(figure5_tree(),
+  const FfResult r = emulate_ff(CompiledTree::compile(figure5_tree()),
                                 cfg(2, OmpSchedule::StaticBlock));
   EXPECT_EQ(r.parallel_cycles, 1250u);
   EXPECT_NEAR(r.speedup(), 1.20, 0.01);
 }
 
 TEST(Ff, Figure5Dynamic1) {
-  const FfResult r = emulate_ff(figure5_tree(), cfg(2, OmpSchedule::Dynamic));
+  const FfResult r = emulate_ff(CompiledTree::compile(figure5_tree()),
+                                cfg(2, OmpSchedule::Dynamic));
   EXPECT_EQ(r.parallel_cycles, 950u);
   EXPECT_NEAR(r.speedup(), 1.58, 0.01);
 }
@@ -81,7 +83,7 @@ TEST(Ff, Figure7NestedMispredictionIs1p5) {
   b.end_sec();
   b.end_task();
   b.end_sec();
-  const ProgramTree t = b.finish();
+  const CompiledTree t = CompiledTree::compile(b.finish());
 
   const FfResult r = emulate_ff(t, cfg(2, OmpSchedule::StaticCyclic));
   EXPECT_EQ(r.serial_cycles, 30 * k);
@@ -94,7 +96,7 @@ TEST(Ff, BalancedLoopScalesLinearly) {
   b.begin_sec("s");
   b.begin_task("t").u(1000).end_task().repeat_last(48);
   b.end_sec();
-  const ProgramTree t = b.finish();
+  const CompiledTree t = CompiledTree::compile(b.finish());
   for (const CoreCount n : {2u, 4u, 6u, 12u}) {
     const FfResult r = emulate_ff(t, cfg(n, OmpSchedule::StaticCyclic));
     EXPECT_EQ(r.parallel_cycles, 48u * 1000u / n) << n;
@@ -109,7 +111,7 @@ TEST(Ff, TriangularImbalanceFavorsCyclicOverBlock) {
     b.begin_task("t").u(static_cast<Cycles>(i) * 100).end_task();
   }
   b.end_sec();
-  const ProgramTree t = b.finish();
+  const CompiledTree t = CompiledTree::compile(b.finish());
   const Cycles cyclic =
       emulate_ff(t, cfg(4, OmpSchedule::StaticCyclic)).parallel_cycles;
   const Cycles block =
@@ -125,7 +127,7 @@ TEST(Ff, ForkAndDispatchOverheadsCharged) {
   b.begin_sec("s");
   b.begin_task("t").u(100).end_task().repeat_last(4);
   b.end_sec();
-  const ProgramTree t = b.finish();
+  const CompiledTree t = CompiledTree::compile(b.finish());
   FfConfig c = cfg(4, OmpSchedule::StaticCyclic);
   c.overheads.fork_base = 1000;
   c.overheads.fork_per_thread = 100;
@@ -141,7 +143,7 @@ TEST(Ff, LockOverheadsSurroundCriticalSections) {
   b.begin_sec("s");
   b.begin_task("t").l(1, 100).end_task();
   b.end_sec();
-  const ProgramTree t = b.finish();
+  const CompiledTree t = CompiledTree::compile(b.finish());
   FfConfig c = cfg(1, OmpSchedule::StaticCyclic);
   c.overheads.lock_acquire = 30;
   c.overheads.lock_release = 20;
@@ -153,7 +155,7 @@ TEST(Ff, FullLockSerializationMatchesTheory) {
   b.begin_sec("s");
   for (int i = 0; i < 8; ++i) b.begin_task("t").l(1, 500).end_task();
   b.end_sec();
-  const ProgramTree t = b.finish();
+  const CompiledTree t = CompiledTree::compile(b.finish());
   const FfResult r = emulate_ff(t, cfg(8, OmpSchedule::StaticCyclic));
   EXPECT_EQ(r.parallel_cycles, 8u * 500u);
 }
@@ -164,7 +166,7 @@ TEST(Ff, DistinctLocksDoNotSerialize) {
   b.begin_task("t").l(1, 500).end_task();
   b.begin_task("t").l(2, 500).end_task();
   b.end_sec();
-  const ProgramTree t = b.finish();
+  const CompiledTree t = CompiledTree::compile(b.finish());
   EXPECT_EQ(emulate_ff(t, cfg(2, OmpSchedule::StaticCyclic)).parallel_cycles,
             500u);
 }
@@ -175,7 +177,7 @@ TEST(Ff, BurdenFactorScalesNodeLengths) {
   b.current()->set_burden(2, 1.5);
   b.begin_task("t").u(1000).end_task().repeat_last(2);
   b.end_sec();
-  const ProgramTree t = b.finish();
+  const CompiledTree t = CompiledTree::compile(b.finish());
   FfConfig c = cfg(2, OmpSchedule::StaticCyclic);
   c.apply_burden = true;
   EXPECT_EQ(emulate_ff(t, c).parallel_cycles, 1500u);
@@ -188,7 +190,7 @@ TEST(Ff, DynamicChunkGreaterThanOne) {
   b.begin_sec("s");
   b.begin_task("t").u(100).end_task().repeat_last(8);
   b.end_sec();
-  const ProgramTree t = b.finish();
+  const CompiledTree t = CompiledTree::compile(b.finish());
   const FfResult r = emulate_ff(t, cfg(2, OmpSchedule::Dynamic, 2));
   EXPECT_EQ(r.parallel_cycles, 400u);  // 4 chunks of 2 across 2 cpus
 }
@@ -209,7 +211,7 @@ TEST(Ff, NowaitNestedSectionOverlapsParent) {
   b.u(100);
   b.end_task();
   b.end_sec();
-  const ProgramTree t = b.finish();
+  const CompiledTree t = CompiledTree::compile(b.finish());
   const FfResult r = emulate_ff(t, cfg(2, OmpSchedule::StaticCyclic));
   EXPECT_EQ(r.parallel_cycles, 1200u);
   // Still better than full serialization of 100+1000+100 in sequence plus
@@ -224,28 +226,25 @@ TEST(Ff, SerialTopLevelNodesPassThrough) {
   b.begin_task("t").u(100).end_task().repeat_last(2);
   b.end_sec();
   b.u(250);
-  const ProgramTree t = b.finish();
+  const CompiledTree t = CompiledTree::compile(b.finish());
   const FfResult r = emulate_ff(t, cfg(2, OmpSchedule::StaticCyclic));
   EXPECT_EQ(r.parallel_cycles, 500u + 100u + 250u);
   EXPECT_EQ(r.serial_cycles, 950u);
 }
 
 TEST(Ff, RejectsBadInputs) {
-  const ProgramTree t = figure5_tree();
+  const CompiledTree t = CompiledTree::compile(figure5_tree());
   EXPECT_THROW(emulate_ff(t, cfg(0, OmpSchedule::StaticBlock)),
                std::invalid_argument);
-  EXPECT_THROW(emulate_ff(ProgramTree{}, cfg(2, OmpSchedule::StaticBlock)),
+  // The Figure 5 tree has a single top-level section.
+  EXPECT_THROW(emulate_ff_section(t, 1, cfg(2, OmpSchedule::StaticBlock)),
                std::invalid_argument);
-  EXPECT_THROW(
-      emulate_ff_section(*t.root->child(0)->child(0),
-                         cfg(2, OmpSchedule::StaticBlock)),
-      std::invalid_argument);
 }
 
 TEST(Suitability, IgnoresSchedulePolicy) {
   // Same prediction regardless of what the tree would prefer — the paper's
   // observation that Suitability cannot differentiate schedules.
-  const ProgramTree t = figure5_tree();
+  const CompiledTree t = CompiledTree::compile(figure5_tree());
   SuitabilityConfig c;
   c.num_threads = 2;
   const FfResult r = emulate_suitability(t, c);
@@ -264,7 +263,7 @@ TEST(Suitability, OverestimatesInnerLoopOverhead) {
     for (int i = 0; i < 8; ++i) b.begin_task("t").u(2000).end_task();
     b.end_sec();
   }
-  const ProgramTree t = b.finish();
+  const CompiledTree t = CompiledTree::compile(b.finish());
   SuitabilityConfig sc;
   sc.num_threads = 8;
   const double suit = emulate_suitability(t, sc).speedup();

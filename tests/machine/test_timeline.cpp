@@ -102,7 +102,8 @@ TEST(Timeline, ExecutorRunsRecordFigure5Shape) {
   Timeline tl;
   runtime::ExecMode mode = runtime::ExecMode::real();
   mode.timeline = &tl;
-  const runtime::RunResult r = runtime::run_tree_omp(t, mcfg, ocfg, mode);
+  const runtime::RunResult r = runtime::run_tree_omp(
+      tree::CompiledTree::compile(t), mcfg, ocfg, mode);
   EXPECT_EQ(r.elapsed, 1150u);
   // Master (thread 0) ran I0+I2 = 900 work; worker (thread 1) ran I1 = 600.
   // (±2 cycles of event-rounding slack at span boundaries.)

@@ -232,12 +232,12 @@ void expect_bridge_matches(const machine::Timeline& timeline) {
 }
 
 TEST(TraceExport, FfTimelineBridgeSumsMatch) {
-  const tree::ProgramTree t = contended_tree();
+  const tree::CompiledTree t = tree::CompiledTree::compile(contended_tree());
   machine::Timeline timeline;
   emul::FfConfig cfg;
   cfg.num_threads = 4;
   cfg.timeline = &timeline;
-  const emul::FfResult r = emulate_ff_section(*t.root->child(0), cfg);
+  const emul::FfResult r = emulate_ff_section(t, 0, cfg);
   ASSERT_GT(r.parallel_cycles, 0u);
   ASSERT_FALSE(timeline.spans().empty());
   // The contended lock must produce at least one wait span, or the
@@ -252,19 +252,19 @@ TEST(TraceExport, FfTimelineBridgeSumsMatch) {
 
 TEST(TraceExport, FfTimelineIsOptional) {
   // Same emulation without a timeline: identical result, no spans recorded.
-  const tree::ProgramTree t = contended_tree();
+  const tree::CompiledTree t = tree::CompiledTree::compile(contended_tree());
   emul::FfConfig with, without;
   with.num_threads = without.num_threads = 4;
   machine::Timeline timeline;
   with.timeline = &timeline;
-  EXPECT_EQ(emulate_ff_section(*t.root->child(0), with).parallel_cycles,
-            emulate_ff_section(*t.root->child(0), without).parallel_cycles);
+  EXPECT_EQ(emulate_ff_section(t, 0, with).parallel_cycles,
+            emulate_ff_section(t, 0, without).parallel_cycles);
 }
 
 TEST(TraceExport, MachineTimelineBridgeSumsMatch) {
   // The synthesizer/ground-truth path: the simulated machine records into
   // the Timeline via ExecMode::timeline.
-  const tree::ProgramTree t = contended_tree();
+  const tree::CompiledTree t = tree::CompiledTree::compile(contended_tree());
   machine::Timeline timeline;
   runtime::ExecMode mode = runtime::ExecMode::real();
   mode.timeline = &timeline;
@@ -273,7 +273,7 @@ TEST(TraceExport, MachineTimelineBridgeSumsMatch) {
   runtime::OmpConfig cfg;
   cfg.num_threads = 4;
   const runtime::RunResult r =
-      runtime::run_section_omp(*t.root->child(0), mcfg, cfg, mode);
+      runtime::run_section_omp(t, 0, mcfg, cfg, mode);
   ASSERT_GT(r.elapsed, 0u);
   ASSERT_FALSE(timeline.spans().empty());
   expect_bridge_matches(timeline);

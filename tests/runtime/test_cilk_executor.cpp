@@ -7,6 +7,7 @@
 namespace pprophet::runtime {
 namespace {
 
+using tree::CompiledTree;
 using tree::ProgramTree;
 using tree::TreeBuilder;
 
@@ -62,14 +63,14 @@ ProgramTree recursive_tree(int depth, Cycles leaf_len) {
 }
 
 TEST(CilkExecutor, SingleWorkerMatchesSerial) {
-  const ProgramTree t = flat_loop(32, 500);
+  const CompiledTree t = CompiledTree::compile(flat_loop(32, 500));
   const RunResult r =
       run_tree_cilk(t, cores(1), workers(1), ExecMode::real());
   EXPECT_EQ(r.elapsed, 32u * 500u);
 }
 
 TEST(CilkExecutor, FlatLoopScalesNearLinearly) {
-  const ProgramTree t = flat_loop(64, 1000);
+  const CompiledTree t = CompiledTree::compile(flat_loop(64, 1000));
   const Cycles t1 =
       run_tree_cilk(t, cores(1), workers(1), ExecMode::real()).elapsed;
   for (const std::uint32_t n : {2u, 4u, 8u}) {
@@ -82,7 +83,7 @@ TEST(CilkExecutor, FlatLoopScalesNearLinearly) {
 }
 
 TEST(CilkExecutor, WorkConservedWithSplitting) {
-  const ProgramTree t = flat_loop(100, 123);
+  const CompiledTree t = CompiledTree::compile(flat_loop(100, 123));
   const RunResult r =
       run_tree_cilk(t, cores(4), workers(4, /*grain=*/3), ExecMode::real());
   EXPECT_EQ(r.stats.total_busy, 100u * 123u);
@@ -90,8 +91,9 @@ TEST(CilkExecutor, WorkConservedWithSplitting) {
 
 TEST(CilkExecutor, RecursiveParallelismScales) {
   // depth 6: 2^6 = 64 leaves of 1000 cycles plus combine steps.
-  const ProgramTree t = recursive_tree(6, 1000);
-  const Cycles serial = t.total_serial_cycles();
+  const ProgramTree src = recursive_tree(6, 1000);
+  const CompiledTree t = CompiledTree::compile(src);
+  const Cycles serial = src.total_serial_cycles();
   const Cycles t1 =
       run_tree_cilk(t, cores(1), workers(1), ExecMode::real()).elapsed;
   EXPECT_EQ(t1, serial);
@@ -104,7 +106,7 @@ TEST(CilkExecutor, RecursiveParallelismScales) {
 
 TEST(CilkExecutor, FixedWorkerPoolNoOversubscription) {
   // Unlike nested OpenMP, recursion must not create extra OS threads.
-  const ProgramTree t = recursive_tree(5, 500);
+  const CompiledTree t = CompiledTree::compile(recursive_tree(5, 500));
   const RunResult r =
       run_tree_cilk(t, cores(4), workers(4), ExecMode::real());
   EXPECT_EQ(r.stats.spawned_threads, 4u);
@@ -112,7 +114,7 @@ TEST(CilkExecutor, FixedWorkerPoolNoOversubscription) {
 }
 
 TEST(CilkExecutor, StealOverheadCharged) {
-  const ProgramTree t = flat_loop(16, 1000);
+  const CompiledTree t = CompiledTree::compile(flat_loop(16, 1000));
   CilkConfig with = workers(4, 1);
   with.overheads.steal = 2000;
   const Cycles costly =
@@ -127,7 +129,7 @@ TEST(CilkExecutor, LocksSerializeAcrossWorkers) {
   b.begin_sec("s");
   for (int i = 0; i < 6; ++i) b.begin_task("t").l(2, 400).end_task();
   b.end_sec();
-  const ProgramTree t = b.finish();
+  const CompiledTree t = CompiledTree::compile(b.finish());
   const RunResult r =
       run_tree_cilk(t, cores(6), workers(6, 1), ExecMode::real());
   EXPECT_EQ(r.elapsed, 6u * 400u);
@@ -139,7 +141,7 @@ TEST(CilkExecutor, SynthModeBurdenApplied) {
   b.current()->set_burden(4, 2.0);
   b.begin_task("t").u(1000).end_task().repeat_last(4);
   b.end_sec();
-  const ProgramTree t = b.finish();
+  const CompiledTree t = CompiledTree::compile(b.finish());
   ExecMode mode = ExecMode::synth_mode();
   mode.synth = SynthOverheads{0, 0};  // isolate the burden effect
   const RunResult r = run_tree_cilk(t, cores(4), workers(4, 1), mode);
@@ -147,7 +149,7 @@ TEST(CilkExecutor, SynthModeBurdenApplied) {
 }
 
 TEST(CilkExecutor, SynthTraversalOverheadTracked) {
-  const ProgramTree t = flat_loop(10, 100);
+  const CompiledTree t = CompiledTree::compile(flat_loop(10, 100));
   ExecMode mode = ExecMode::synth_mode();
   mode.synth.access_node = 50;
   mode.synth.recursive_call = 50;
@@ -157,7 +159,7 @@ TEST(CilkExecutor, SynthTraversalOverheadTracked) {
 }
 
 TEST(CilkExecutor, DeterministicAcrossRuns) {
-  const ProgramTree t = recursive_tree(5, 700);
+  const CompiledTree t = CompiledTree::compile(recursive_tree(5, 700));
   const Cycles a =
       run_tree_cilk(t, cores(3), workers(3), ExecMode::real()).elapsed;
   const Cycles b2 =
@@ -171,25 +173,25 @@ TEST(CilkExecutor, SerialTailAfterSectionRunsOnMaster) {
   b.begin_task("t").u(500).end_task().repeat_last(4);
   b.end_sec();
   b.u(100);
-  const ProgramTree t = b.finish();
+  const CompiledTree t = CompiledTree::compile(b.finish());
   const RunResult r =
       run_tree_cilk(t, cores(4), workers(4, 1), ExecMode::real());
   EXPECT_EQ(r.elapsed, 600u);
 }
 
 TEST(CilkExecutor, RejectsBadInputs) {
-  const ProgramTree t = flat_loop(4, 10);
+  const CompiledTree t = CompiledTree::compile(flat_loop(4, 10));
   EXPECT_THROW(run_tree_cilk(t, cores(2), workers(0), ExecMode::real()),
                std::invalid_argument);
-  EXPECT_THROW(run_tree_cilk(ProgramTree{}, cores(2), workers(2),
-                             ExecMode::real()),
+  // A flat loop has a single top-level section.
+  EXPECT_THROW(run_section_cilk(t, 1, cores(2), workers(2), ExecMode::real()),
                std::invalid_argument);
 }
 
 TEST(CilkExecutor, GrainLimitsSplitDepth) {
   // With grain == trip count there is a single item: serial execution even
   // with many workers.
-  const ProgramTree t = flat_loop(32, 100);
+  const CompiledTree t = CompiledTree::compile(flat_loop(32, 100));
   const RunResult r =
       run_tree_cilk(t, cores(4), workers(4, /*grain=*/32), ExecMode::real());
   EXPECT_EQ(r.elapsed, 3200u);

@@ -7,6 +7,7 @@
 namespace pprophet::runtime {
 namespace {
 
+using tree::CompiledTree;
 using tree::ProgramTree;
 using tree::TreeBuilder;
 
@@ -42,7 +43,7 @@ ProgramTree figure5_tree() {
 }
 
 TEST(OmpExecutor, SingleThreadMatchesSerialLength) {
-  const ProgramTree t = figure5_tree();
+  const CompiledTree t = CompiledTree::compile(figure5_tree());
   const RunResult r = run_tree_omp(t, cores(1),
                                    zero_overhead(1, OmpSchedule::StaticBlock),
                                    ExecMode::real());
@@ -54,7 +55,7 @@ TEST(OmpExecutor, SingleThreadMatchesSerialLength) {
 // t=100, so T0 waits 150→400; the emulated parallel time is 1150, the
 // paper's reported value.
 TEST(OmpExecutor, Figure5Static1) {
-  const ProgramTree t = figure5_tree();
+  const CompiledTree t = CompiledTree::compile(figure5_tree());
   const RunResult r = run_tree_omp(t, cores(2),
                                    zero_overhead(2, OmpSchedule::StaticCyclic),
                                    ExecMode::real());
@@ -63,7 +64,7 @@ TEST(OmpExecutor, Figure5Static1) {
 
 // Figure 5 case 2: schedule(static) blocks {I0,I1} / {I2}: 1250 cycles.
 TEST(OmpExecutor, Figure5StaticBlock) {
-  const ProgramTree t = figure5_tree();
+  const CompiledTree t = CompiledTree::compile(figure5_tree());
   const RunResult r = run_tree_omp(t, cores(2),
                                    zero_overhead(2, OmpSchedule::StaticBlock),
                                    ExecMode::real());
@@ -76,7 +77,7 @@ TEST(OmpExecutor, Figure5StaticBlock) {
 // reaches I2's lock at 750, waits until 850, and finishes at 950 — exactly
 // the paper's reported 950 (speedup 1500/950 ≈ 1.58).
 TEST(OmpExecutor, Figure5Dynamic1) {
-  const ProgramTree t = figure5_tree();
+  const CompiledTree t = CompiledTree::compile(figure5_tree());
   const RunResult r = run_tree_omp(t, cores(2),
                                    zero_overhead(2, OmpSchedule::Dynamic),
                                    ExecMode::real());
@@ -85,7 +86,7 @@ TEST(OmpExecutor, Figure5Dynamic1) {
 
 TEST(OmpExecutor, SchedulePolicyOrderingMatchesFigure5) {
   // static,1 beats static, dynamic,1 beats both (for this imbalance).
-  const ProgramTree t = figure5_tree();
+  const CompiledTree t = CompiledTree::compile(figure5_tree());
   const Cycles s1 =
       run_tree_omp(t, cores(2), zero_overhead(2, OmpSchedule::StaticCyclic),
                    ExecMode::real())
@@ -109,7 +110,7 @@ TEST(OmpExecutor, BarrierBlocksSerialTail) {
   b.begin_task("long").u(1000).end_task();
   b.end_sec(true);
   b.u(50);
-  const ProgramTree t = b.finish();
+  const CompiledTree t = CompiledTree::compile(b.finish());
   const RunResult r = run_tree_omp(t, cores(2),
                                    zero_overhead(2, OmpSchedule::StaticCyclic),
                                    ExecMode::real());
@@ -123,7 +124,7 @@ TEST(OmpExecutor, NowaitLetsMasterContinue) {
   b.begin_task("long").u(1000).end_task();
   b.end_sec(false);  // nowait
   b.u(50);
-  const ProgramTree t = b.finish();
+  const CompiledTree t = CompiledTree::compile(b.finish());
   const RunResult r = run_tree_omp(t, cores(2),
                                    zero_overhead(2, OmpSchedule::StaticCyclic),
                                    ExecMode::real());
@@ -137,7 +138,7 @@ TEST(OmpExecutor, PerfectlyBalancedLoopScalesLinearly) {
   b.begin_sec("s");
   b.begin_task("t").u(1000).end_task().repeat_last(64);
   b.end_sec();
-  const ProgramTree t = b.finish();
+  const CompiledTree t = CompiledTree::compile(b.finish());
   for (const CoreCount n : {1u, 2u, 4u, 8u}) {
     const RunResult r = run_tree_omp(
         t, cores(n), zero_overhead(n, OmpSchedule::StaticCyclic),
@@ -151,7 +152,7 @@ TEST(OmpExecutor, FullySerializedByLock) {
   b.begin_sec("s");
   for (int i = 0; i < 8; ++i) b.begin_task("t").l(1, 500).end_task();
   b.end_sec();
-  const ProgramTree t = b.finish();
+  const CompiledTree t = CompiledTree::compile(b.finish());
   const RunResult r = run_tree_omp(t, cores(8),
                                    zero_overhead(8, OmpSchedule::StaticCyclic),
                                    ExecMode::real());
@@ -164,7 +165,7 @@ TEST(OmpExecutor, ForkJoinOverheadsCharged) {
   b.begin_sec("s");
   b.begin_task("t").u(100).end_task().repeat_last(4);
   b.end_sec();
-  const ProgramTree t = b.finish();
+  const CompiledTree t = CompiledTree::compile(b.finish());
   OmpConfig c = zero_overhead(4, OmpSchedule::StaticCyclic);
   c.overheads.fork_base = 1000;
   c.overheads.fork_per_thread = 100;
@@ -179,7 +180,7 @@ TEST(OmpExecutor, DynamicDispatchCostPerChunk) {
   b.begin_sec("s");
   b.begin_task("t").u(100).end_task().repeat_last(10);
   b.end_sec();
-  const ProgramTree t = b.finish();
+  const CompiledTree t = CompiledTree::compile(b.finish());
   OmpConfig c = zero_overhead(1, OmpSchedule::Dynamic);
   c.overheads.dynamic_dispatch = 7;
   const RunResult r = run_tree_omp(t, cores(1), c, ExecMode::real());
@@ -206,8 +207,9 @@ TEST(OmpExecutor, Figure7NestedOversubscriptionReaches2x) {
   b.end_sec();
   b.end_task();
   b.end_sec();
-  const ProgramTree t = b.finish();
-  const Cycles serial = t.total_serial_cycles();
+  const ProgramTree src = b.finish();
+  const CompiledTree t = CompiledTree::compile(src);
+  const Cycles serial = src.total_serial_cycles();
   EXPECT_EQ(serial, 30 * k);
 
   const RunResult r = run_tree_omp(
@@ -226,7 +228,7 @@ TEST(OmpExecutor, SynthBurdenFactorInflatesSection) {
   b.current()->set_burden(2, 1.5);
   b.begin_task("t").u(1000).end_task().repeat_last(2);
   b.end_sec();
-  const ProgramTree t = b.finish();
+  const CompiledTree t = CompiledTree::compile(b.finish());
   ExecMode mode = ExecMode::synth_mode();
   mode.synth = SynthOverheads{0, 0};  // isolate the burden effect
   const RunResult r = run_tree_omp(t, cores(2),
@@ -241,7 +243,7 @@ TEST(OmpExecutor, SynthTraversalOverheadTrackedAndSubtractable) {
   b.begin_sec("s");
   b.begin_task("t").u(100).end_task().repeat_last(10);
   b.end_sec();
-  const ProgramTree t = b.finish();
+  const CompiledTree t = CompiledTree::compile(b.finish());
   ExecMode mode = ExecMode::synth_mode();
   mode.synth.access_node = 50;
   mode.synth.recursive_call = 50;
@@ -265,7 +267,7 @@ TEST(OmpExecutor, RealModeMemoryBoundSectionSaturates) {
   b.counters(c);
   b.begin_task("t").u(1000).end_task().repeat_last(64);
   b.end_sec();
-  const ProgramTree t = b.finish();
+  const CompiledTree t = CompiledTree::compile(b.finish());
 
   machine::MachineConfig m1 = cores(1);
   m1.bandwidth.saturation_mbps = 400.0;  // solo traffic ≈ 320 MB/s: near sat
@@ -294,7 +296,7 @@ TEST(OmpExecutor, ComputeBoundSectionIgnoresBandwidth) {
   b.counters(c);
   b.begin_task("t").u(1000).end_task().repeat_last(64);
   b.end_sec();
-  const ProgramTree t = b.finish();
+  const CompiledTree t = CompiledTree::compile(b.finish());
   machine::MachineConfig m8 = cores(8);
   m8.bandwidth.saturation_mbps = 100.0;  // tiny, but nobody uses it
   const RunResult r = run_tree_omp(
@@ -314,7 +316,8 @@ TEST(OmpExecutor, GuidedHandlesTriangularImbalanceWell) {
     b.begin_task("t").u(static_cast<Cycles>(i) * 100).end_task();
   }
   b.end_sec();
-  const ProgramTree t = b.finish();
+  const ProgramTree src = b.finish();
+  const CompiledTree t = CompiledTree::compile(src);
   const Cycles guided =
       run_tree_omp(t, cores(4), zero_overhead(4, OmpSchedule::Guided),
                    ExecMode::real())
@@ -324,7 +327,7 @@ TEST(OmpExecutor, GuidedHandlesTriangularImbalanceWell) {
                    ExecMode::real())
           .elapsed;
   EXPECT_LT(guided, block);
-  const Cycles ideal = t.total_serial_cycles() / 4;
+  const Cycles ideal = src.total_serial_cycles() / 4;
   EXPECT_LE(guided, ideal + ideal / 4);
 }
 
@@ -333,7 +336,7 @@ TEST(OmpExecutor, GuidedPaysDynamicDispatchPerChunk) {
   b.begin_sec("s");
   b.begin_task("t").u(100).end_task().repeat_last(16);
   b.end_sec();
-  const ProgramTree t = b.finish();
+  const CompiledTree t = CompiledTree::compile(b.finish());
   OmpConfig c = zero_overhead(1, OmpSchedule::Guided);
   c.overheads.dynamic_dispatch = 10;
   const RunResult r = run_tree_omp(t, cores(1), c, ExecMode::real());
@@ -343,7 +346,7 @@ TEST(OmpExecutor, GuidedPaysDynamicDispatchPerChunk) {
 }
 
 TEST(OmpExecutor, DeterministicAcrossRuns) {
-  const ProgramTree t = figure5_tree();
+  const CompiledTree t = CompiledTree::compile(figure5_tree());
   const OmpConfig c = zero_overhead(3, OmpSchedule::Dynamic);
   const Cycles a = run_tree_omp(t, cores(3), c, ExecMode::real()).elapsed;
   const Cycles b2 = run_tree_omp(t, cores(3), c, ExecMode::real()).elapsed;
@@ -351,28 +354,24 @@ TEST(OmpExecutor, DeterministicAcrossRuns) {
 }
 
 TEST(OmpExecutor, RunSectionMatchesWholeTreeForSingleSection) {
-  const ProgramTree t = figure5_tree();
+  const CompiledTree t = CompiledTree::compile(figure5_tree());
   const OmpConfig c = zero_overhead(2, OmpSchedule::StaticCyclic);
   const Cycles whole = run_tree_omp(t, cores(2), c, ExecMode::real()).elapsed;
   const Cycles section =
-      run_section_omp(*t.root->child(0), cores(2), c, ExecMode::real())
-          .elapsed;
+      run_section_omp(t, 0, cores(2), c, ExecMode::real()).elapsed;
   EXPECT_EQ(whole, section);
 }
 
 TEST(OmpExecutor, RejectsBadInputs) {
-  const ProgramTree t = figure5_tree();
+  const CompiledTree t = CompiledTree::compile(figure5_tree());
   EXPECT_THROW(run_tree_omp(t, cores(2),
                             zero_overhead(0, OmpSchedule::StaticBlock),
                             ExecMode::real()),
                std::invalid_argument);
-  EXPECT_THROW(run_section_omp(*t.root->child(0)->child(0), cores(2),
+  // The Figure 5 tree has a single top-level section.
+  EXPECT_THROW(run_section_omp(t, 1, cores(2),
                                zero_overhead(2, OmpSchedule::StaticBlock),
                                ExecMode::real()),
-               std::invalid_argument);
-  EXPECT_THROW(run_tree_omp(ProgramTree{}, cores(2),
-                            zero_overhead(2, OmpSchedule::StaticBlock),
-                            ExecMode::real()),
                std::invalid_argument);
 }
 
@@ -381,7 +380,7 @@ TEST(OmpExecutor, MoreThreadsThanCoresStillCorrectTotalWork) {
   b.begin_sec("s");
   b.begin_task("t").u(1000).end_task().repeat_last(16);
   b.end_sec();
-  const ProgramTree t = b.finish();
+  const CompiledTree t = CompiledTree::compile(b.finish());
   // 8 threads on 2 cores: work conserved, elapsed ≈ 16000/2.
   const RunResult r = run_tree_omp(t, cores(2, 500),
                                    zero_overhead(8, OmpSchedule::StaticCyclic),

@@ -10,6 +10,7 @@
 namespace pprophet::runtime {
 namespace {
 
+using tree::CompiledTree;
 using tree::ProgramTree;
 using tree::TreeBuilder;
 
@@ -42,7 +43,7 @@ ProgramTree ramp_loop(int iters, Cycles step) {
 TEST(ChunkedSchedules, StaticChunk2MatchesHandComputation) {
   // 8 iterations of length 100·i, 2 threads, chunks of 2:
   // T0: {1,2} {5,6} = 1400; T1: {3,4} {7,8} = 2200.
-  const ProgramTree t = ramp_loop(8, 100);
+  const CompiledTree t = CompiledTree::compile(ramp_loop(8, 100));
   const RunResult r = run_tree_omp(
       t, cores(2), cfg(2, OmpSchedule::StaticCyclic, 2), ExecMode::real());
   // ±1 cycle of event rounding at op boundaries.
@@ -55,7 +56,7 @@ TEST(ChunkedSchedules, DynamicChunk2ReducesDispatches) {
   b.begin_sec("s");
   b.begin_task("t").u(100).end_task().repeat_last(16);
   b.end_sec();
-  const ProgramTree t = b.finish();
+  const CompiledTree t = CompiledTree::compile(b.finish());
   OmpConfig c1 = cfg(1, OmpSchedule::Dynamic, 1);
   c1.overheads.dynamic_dispatch = 10;
   OmpConfig c4 = c1;
@@ -68,7 +69,7 @@ TEST(ChunkedSchedules, DynamicChunk2ReducesDispatches) {
 
 TEST(ChunkedSchedules, LargeChunkDegradesImbalancedLoops) {
   // Ramp loop: chunk 8 under dynamic means one thread eats the heavy tail.
-  const ProgramTree t = ramp_loop(16, 1'000);
+  const CompiledTree t = CompiledTree::compile(ramp_loop(16, 1'000));
   const Cycles fine =
       run_tree_omp(t, cores(4), cfg(4, OmpSchedule::Dynamic, 1),
                    ExecMode::real())
@@ -81,7 +82,8 @@ TEST(ChunkedSchedules, LargeChunkDegradesImbalancedLoops) {
 }
 
 TEST(FfGuided, MatchesExecutorOnRampLoop) {
-  const ProgramTree t = ramp_loop(32, 500);
+  const ProgramTree src = ramp_loop(32, 500);
+  const CompiledTree t = CompiledTree::compile(src);
   emul::FfConfig fc;
   fc.num_threads = 4;
   fc.schedule = OmpSchedule::Guided;
@@ -90,7 +92,7 @@ TEST(FfGuided, MatchesExecutorOnRampLoop) {
   const double ff = emul::emulate_ff(t, fc).speedup();
   const RunResult run = run_tree_omp(
       t, cores(4), cfg(4, OmpSchedule::Guided, 1), ExecMode::real());
-  const double real = static_cast<double>(t.total_serial_cycles()) /
+  const double real = static_cast<double>(src.total_serial_cycles()) /
                       static_cast<double>(run.elapsed);
   EXPECT_NEAR(ff, real, 0.15 * real);
 }
@@ -109,8 +111,9 @@ TEST(NestedDynamic, InnerSectionsCompleteUnderPullScheduling) {
     b.end_task();
   }
   b.end_sec();
-  const ProgramTree t = b.finish();
-  const Cycles work = t.total_serial_cycles();
+  const ProgramTree src = b.finish();
+  const CompiledTree t = CompiledTree::compile(src);
+  const Cycles work = src.total_serial_cycles();
   const RunResult r = run_tree_omp(
       t, cores(4), cfg(4, OmpSchedule::Dynamic, 1), ExecMode::real());
   EXPECT_GE(r.stats.total_busy, work);  // everything executed
@@ -126,7 +129,7 @@ TEST(NestedDynamic, InnerSectionsCompleteUnderPullScheduling) {
 }
 
 TEST(ChunkedSchedules, FfStaticChunkMatchesExecutor) {
-  const ProgramTree t = ramp_loop(8, 100);
+  const CompiledTree t = CompiledTree::compile(ramp_loop(8, 100));
   emul::FfConfig fc;
   fc.num_threads = 2;
   fc.schedule = OmpSchedule::StaticCyclic;

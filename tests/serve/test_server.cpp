@@ -213,6 +213,23 @@ TEST_F(ServerTest, ErrorPaths) {
   bad_tree.set("op", JsonValue("upload"));
   bad_tree.set("pptb", JsonValue(base64_encode("not a pptb stream")));
   EXPECT_EQ(c.call(bad_tree).at("error").as_string(), kErrBadRequest);
+  // Counts far beyond the upload's size: a 2^40-pattern dictionary, and
+  // one pattern claiming 2^40 children. Both are truncated streams.
+  for (const std::string& hostile :
+       {std::string("PPTB\x03\x80\x80\x80\x80\x80\x20", 11),
+        std::string("PPTB\x03\x01\x03\x01\x64\x00"
+                    "\x80\x80\x80\x80\x80\x20",
+                    16)}) {
+    JsonValue up;
+    up.set("op", JsonValue("upload"));
+    up.set("pptb", JsonValue(base64_encode(hostile)));
+    const JsonValue r = c.call(up);
+    EXPECT_EQ(r.at("error").as_string(), kErrBadRequest) << json_dump(r);
+    EXPECT_NE(r.at("message").as_string().find("truncated stream"),
+              std::string::npos)
+        << json_dump(r);
+  }
+  EXPECT_EQ(server.stats().stored_trees, 0u);
   // An expansion bomb: 31 patterns, each referencing the previous one
   // twice, describe ~3.2 billion nodes in a few hundred bytes.
   tree::PackedTree bomb;

@@ -75,6 +75,43 @@ TEST(BinaryTree, RejectsTruncation) {
   }
 }
 
+/// LEB128 encoding of `v`, as the writer emits it.
+std::string varint(std::uint64_t v) {
+  std::string out;
+  while (v >= 0x80) {
+    out.push_back(static_cast<char>((v & 0x7F) | 0x80));
+    v >>= 7;
+  }
+  out.push_back(static_cast<char>(v));
+  return out;
+}
+
+/// The message from_binary(bytes) throws, or "" when it parses.
+std::string reject_reason(const std::string& bytes) {
+  try {
+    from_binary(bytes);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(BinaryTree, CountsLargerThanTheStreamAreTruncation) {
+  // Counts come from the upload; none may size an allocation. A dictionary
+  // of 2^40 patterns in an 11-byte stream runs out of bytes instead.
+  const std::string header = std::string("PPTB") + '\x03';
+  EXPECT_EQ(reject_reason(header + varint(1ULL << 40)),
+            "pptb: truncated stream");
+  // One U pattern (kind, barrier, length, lock id) claiming 2^40 children.
+  const std::string one_pattern = header + varint(1) + '\x03' + '\x01' +
+                                  varint(100) + varint(0) +
+                                  varint(1ULL << 40);
+  EXPECT_EQ(reject_reason(one_pattern), "pptb: truncated stream");
+  // 2^40 top-level refs after an empty dictionary.
+  EXPECT_EQ(reject_reason(header + varint(0) + varint(1ULL << 40)),
+            "pptb: truncated stream");
+}
+
 TEST(BinaryTree, FuzzedBytesNeverCrash) {
   util::Xoshiro256 rng(404);
   const std::string good = to_binary(pack(sample_tree()));

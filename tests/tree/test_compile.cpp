@@ -1,12 +1,22 @@
-// Equivalence suite for tree::CompiledTree: the compiled flat-array path
-// must be bit-identical to the pointer-tree path for every emulator over
-// the random-tree property generator, and the precomputed aggregates must
-// match a naive recomputation from the source Node heap.
+// Suite for tree::CompiledTree, the one tree representation every emulator
+// reads. Two things are pinned here:
+//   * compile() itself: every node record, link, task table, lock slot,
+//     burden table and counter set matches the source Node heap it was
+//     built from, and the precomputed aggregates, block flags and digests
+//     match naive recomputations;
+//   * the engines over it: FNV-64 digests of section and whole-tree
+//     predictions over the random-tree seeds. The digests were recorded
+//     while every engine still had a second instantiation over the Node
+//     heap, and both instantiations agreed on every value folded in.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <functional>
 #include <stdexcept>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "core/prophet.hpp"
 #include "emul/ff.hpp"
@@ -15,6 +25,7 @@
 #include "memmodel/calibration.hpp"
 #include "report/experiment.hpp"
 #include "tree/compile.hpp"
+#include "util/fnv.hpp"
 
 #include "../property/random_trees.hpp"
 
@@ -25,7 +36,9 @@ using core::Method;
 using core::Paradigm;
 using core::PredictOptions;
 
-/// Top-level Sec nodes of `tree` in root-child order — the pointer-side
+constexpr CoreCount kBurdenThreads[] = {2, 4, 8};
+
+/// Top-level Sec nodes of `tree` in root-child order — the source-side
 /// counterpart of CompiledTree's section table.
 std::vector<const Node*> top_sections(const ProgramTree& tree) {
   std::vector<const Node*> out;
@@ -33,6 +46,31 @@ std::vector<const Node*> top_sections(const ProgramTree& tree) {
     if (child->kind() == NodeKind::Sec) out.push_back(child.get());
   }
   return out;
+}
+
+/// random_tree(seed) with deterministic counters on every top-level
+/// section, priced by the calibrated memory model, so its sections carry
+/// real (β ≠ 1) burden tables.
+ProgramTree annotated_tree(std::uint64_t seed) {
+  ProgramTree t = random_tree(seed);
+  util::Xoshiro256 rng(seed ^ 0xc0ffeeULL);
+  for (const auto& child : t.root->children()) {
+    if (child->kind() != NodeKind::Sec) continue;
+    SectionCounters c;
+    c.cycles = child->serial_work();
+    c.instructions = c.cycles / 2;
+    // DRAM stall share in [0.2, 0.8) at ω = 200 cycles per miss.
+    c.llc_misses = static_cast<std::uint64_t>(
+        (0.2 + 0.6 * rng.uniform_double()) * static_cast<double>(c.cycles) /
+        200.0);
+    c.llc_writebacks = c.llc_misses / 4;
+    child->set_counters(c);
+  }
+  memmodel::CalibrationOptions copts;
+  copts.machine = report::paper_options(Method::Synthesizer).machine;
+  const memmodel::BurdenModel model(memmodel::calibrate(copts));
+  memmodel::annotate_burdens(t, model, kBurdenThreads);
+  return t;
 }
 
 PredictOptions grid_options(Method m, Paradigm p, runtime::OmpSchedule s,
@@ -44,119 +82,278 @@ PredictOptions grid_options(Method m, Paradigm p, runtime::OmpSchedule s,
   return o;
 }
 
-TEST(CompiledTree, SectionPredictionsBitIdenticalAcrossFullGrid) {
+std::string hex(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "0x%016llxULL",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+struct GoldenRow {
+  std::uint64_t seed;
+  std::vector<std::uint64_t> want;
+};
+
+/// On mismatch the message is the row to paste after a deliberate,
+/// explained re-baseline.
+void expect_golden(const GoldenRow& row,
+                   const std::vector<std::uint64_t>& got) {
+  std::string actual = "{" + std::to_string(row.seed) + ", {";
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    actual += (i == 0 ? "" : ", ") + hex(got[i]);
+  }
+  actual += "}},";
+  EXPECT_EQ(got, row.want) << actual;
+}
+
+// ---- compile() against the source Node heap ------------------------------
+
+/// Checks the record of `n` at compiled id `id` and recurses into its
+/// children in preorder: ids are dense, so `next` is the id the next node
+/// in preorder must carry. Lock identity is checked through `slots`: two L
+/// nodes share a dense slot exactly when they share a lock id.
+void check_records(const CompiledTree& ct, const Node& n, NodeId id,
+                   NodeId& next, std::unordered_map<LockId, std::uint32_t>&
+                                     slots) {
+  ASSERT_EQ(id, next) << "ids are not dense preorder";
+  ++next;
+  EXPECT_EQ(ct.kind(id), n.kind()) << id;
+  EXPECT_EQ(ct.length(id), n.length()) << id;
+  EXPECT_EQ(ct.repeat(id), n.repeat()) << id;
+  EXPECT_EQ(ct.barrier_at_end(id), n.barrier_at_end()) << id;
+  EXPECT_EQ(ct.lock_id(id), n.lock_id()) << id;
+  if (n.kind() == NodeKind::L) {
+    const std::uint32_t slot =
+        slots.try_emplace(n.lock_id(), ct.lock_index(id)).first->second;
+    EXPECT_EQ(ct.lock_index(id), slot) << "lock " << n.lock_id();
+    EXPECT_LT(ct.lock_index(id), ct.lock_count()) << id;
+  } else {
+    EXPECT_EQ(ct.lock_index(id), kNoLock) << id;
+  }
+
+  std::vector<NodeId> child_ids;
+  NodeId c = ct.first_child(id);
+  for (const auto& child : n.children()) {
+    ASSERT_NE(c, kNoNode) << "node " << id << " lost a child";
+    child_ids.push_back(c);
+    check_records(ct, *child, c, next, slots);
+    c = ct.next_sibling(c);
+  }
+  EXPECT_EQ(c, kNoNode) << "node " << id << " gained a child";
+
+  if (n.kind() != NodeKind::Sec) return;
+  // Naive logical-iteration expansion of the RLE child list: iteration i
+  // runs the child whose repeats cover it.
+  std::vector<NodeId> expanded;
+  for (std::size_t k = 0; k < child_ids.size(); ++k) {
+    for (std::uint64_t r = 0; r < n.children()[k]->repeat(); ++r) {
+      expanded.push_back(child_ids[k]);
+    }
+  }
+  const CompiledTree::TaskTable table = ct.tasks_of(id);
+  ASSERT_EQ(table.trip_count(), expanded.size()) << "sec " << id;
+  ASSERT_EQ(table.trip_count(), n.logical_child_count()) << "sec " << id;
+  for (std::uint64_t i = 0; i < expanded.size(); ++i) {
+    EXPECT_EQ(table.task_at(i), expanded[i]) << "sec " << id << " trip " << i;
+  }
+}
+
+void check_compiled_against_source(const ProgramTree& t) {
+  const CompiledTree ct = CompiledTree::compile(t);
+  EXPECT_EQ(ct.node_count(), t.root->subtree_size());
+  NodeId next = 0;
+  std::unordered_map<LockId, std::uint32_t> slots;
+  check_records(ct, *t.root, ct.root(), next, slots);
+  EXPECT_EQ(next, ct.node_count());
+  EXPECT_EQ(ct.lock_count(), slots.size());
+
+  // Top-level section table: node ids, burden tables and counters.
+  std::uint32_t s = 0;
+  for (NodeId c = ct.first_child(ct.root()); c != kNoNode;
+       c = ct.next_sibling(c)) {
+    if (ct.kind(c) != NodeKind::Sec) {
+      EXPECT_EQ(ct.section_of(c), kNoSection) << c;
+      continue;
+    }
+    ASSERT_LT(s, ct.section_count());
+    EXPECT_EQ(ct.section_node(s), c);
+    EXPECT_EQ(ct.section_of(c), s);
+    ++s;
+  }
+  EXPECT_EQ(s, ct.section_count());
+  const std::vector<const Node*> secs = top_sections(t);
+  ASSERT_EQ(secs.size(), ct.section_count());
+  for (s = 0; s < ct.section_count(); ++s) {
+    const Node& sec = *secs[s];
+    for (const auto& [threads, beta] : sec.burdens()) {
+      EXPECT_EQ(ct.section_burden(s, threads), beta)
+          << "section " << s << " threads " << threads;
+    }
+    EXPECT_EQ(ct.section_burden(s, 64), sec.burden(64)) << s;
+    const SectionCounters* got = ct.section_counters(s);
+    const SectionCounters* want = sec.counters();
+    ASSERT_EQ(got == nullptr, want == nullptr) << "section " << s;
+    if (want == nullptr) continue;
+    EXPECT_EQ(got->instructions, want->instructions) << s;
+    EXPECT_EQ(got->cycles, want->cycles) << s;
+    EXPECT_EQ(got->llc_misses, want->llc_misses) << s;
+    EXPECT_EQ(got->llc_writebacks, want->llc_writebacks) << s;
+  }
+}
+
+TEST(CompiledTree, RecordsMatchSourceNodes) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    check_compiled_against_source(random_tree(seed));
+  }
+  // One seed with counters and a calibrated burden table on every section.
+  const ProgramTree annotated = annotated_tree(41);
+  bool priced = false;
+  for (const Node* sec : top_sections(annotated)) {
+    for (const auto& entry : sec->burdens()) priced |= entry.second != 1.0;
+  }
+  ASSERT_TRUE(priced) << "annotate_burdens left every beta at 1";
+  SCOPED_TRACE("annotated seed 41");
+  check_compiled_against_source(annotated);
+}
+
+// ---- engine goldens over the compiled tree -------------------------------
+
+// Per seed: one digest per method (FF, Suit, SYN, Real) over paradigm ×
+// schedule × chunk × threads × every top-level section.
+const GoldenRow kSectionGolden[] = {
+    {11, {0x7c030db95e527d85ULL, 0x94352df78275f945ULL, 0xed9c788c48318c40ULL,
+          0x36341e063a720439ULL}},
+    {12, {0x2abdaf7ef8323155ULL, 0xe021ce3e678c57a5ULL, 0x4e7d2274a4cdea9dULL,
+          0x2fbaaee18f0a5b8dULL}},
+    {13, {0x7383ec38b1f6e441ULL, 0xe65bec6f133e6665ULL, 0x2f98cfdf95e00e24ULL,
+          0x8d29fa33f1ca789dULL}},
+    {14, {0x291d04a099e3e875ULL, 0xb79cf91597eb25a5ULL, 0x151abdc2a53aad35ULL,
+          0xa87825b9503a7944ULL}},
+    {15, {0x89e04292d47b75e1ULL, 0xd7785fc21de31ae5ULL, 0x0253150db132fd3fULL,
+          0xf09fc5991b66e4faULL}},
+};
+
+TEST(CompiledTree, SectionPredictionsMatchGoldenAcrossFullGrid) {
   const CoreCount thread_counts[] = {1, 3, 8};
   const runtime::OmpSchedule schedules[] = {
       runtime::OmpSchedule::StaticCyclic, runtime::OmpSchedule::StaticBlock,
       runtime::OmpSchedule::Dynamic, runtime::OmpSchedule::Guided};
-  for (const std::uint64_t seed : {11u, 12u, 13u, 14u, 15u}) {
-    const ProgramTree t = random_tree(seed);
+  for (const GoldenRow& row : kSectionGolden) {
+    const ProgramTree t = random_tree(row.seed);
     const CompiledTree ct = CompiledTree::compile(t);
-    const std::vector<const Node*> secs = top_sections(t);
-    ASSERT_EQ(secs.size(), ct.section_count()) << "seed " << seed;
+    std::vector<std::uint64_t> got;
     for (const Method m : {Method::FastForward, Method::Suitability,
                            Method::Synthesizer, Method::GroundTruth}) {
+      util::Fnv64 d;
       for (const Paradigm p : {Paradigm::OpenMP, Paradigm::CilkPlus}) {
         for (const runtime::OmpSchedule sch : schedules) {
           for (const std::uint64_t chunk : {1u, 4u}) {
             const PredictOptions o = grid_options(m, p, sch, chunk);
             for (const CoreCount threads : thread_counts) {
               for (std::uint32_t s = 0; s < ct.section_count(); ++s) {
-                EXPECT_EQ(
-                    core::predict_section_cycles(*secs[s], threads, o),
-                    core::predict_section_cycles(ct, s, threads, o))
-                    << "seed " << seed << " section " << s << " method "
-                    << core::to_string(m) << " paradigm "
-                    << core::to_string(p) << " schedule "
-                    << runtime::to_string(sch) << " chunk " << chunk
-                    << " threads " << threads;
+                d.u64(core::predict_section_cycles(ct, s, threads, o));
               }
             }
           }
         }
       }
+      got.push_back(d.h);
     }
+    expect_golden(row, got);
   }
 }
 
-TEST(CompiledTree, PredictComposesExactlyAsPointerPath) {
-  for (const std::uint64_t seed : {21u, 22u, 23u, 24u}) {
-    const ProgramTree t = random_tree(seed);
+// Per seed: serial and parallel cycles of predict() at 2 and 6 threads.
+const GoldenRow kPredictGolden[] = {
+    {21, {0x38b481ebbe759025ULL}},
+    {22, {0x74f791dfbabd573eULL}},
+    {23, {0x306df97c09f73f5cULL}},
+    {24, {0x25667711578947faULL}},
+};
+
+TEST(CompiledTree, PredictComposesSectionsAndMatchesGolden) {
+  for (const GoldenRow& row : kPredictGolden) {
+    const ProgramTree t = random_tree(row.seed);
     const CompiledTree ct = CompiledTree::compile(t);
     const PredictOptions o = report::paper_options(Method::Synthesizer);
+    util::Fnv64 d;
     for (const CoreCount threads : {2u, 6u}) {
-      // §IV-E reference composition from the pointer tree: top-level U glue
-      // plus each section's pointer-path emulation times its repeat.
+      // §IV-E composition read off the source tree: top-level U glue plus
+      // each section's emulation times its repeat.
       Cycles parallel = 0;
+      std::uint32_t s = 0;
       for (const auto& child : t.root->children()) {
         if (child->kind() == NodeKind::U) {
           parallel += child->length() * child->repeat();
         } else {
-          parallel +=
-              core::predict_section_cycles(*child, threads, o) *
-              child->repeat();
+          parallel += core::predict_section_cycles(ct, s++, threads, o) *
+                      child->repeat();
         }
       }
       if (parallel == 0) parallel = 1;
       const core::SpeedupEstimate est = core::predict(ct, threads, o);
-      EXPECT_EQ(est.serial_cycles, core::serial_cycles_of(t)) << seed;
-      EXPECT_EQ(est.parallel_cycles, parallel) << seed;
+      EXPECT_EQ(est.serial_cycles, core::serial_cycles_of(t)) << row.seed;
+      EXPECT_EQ(est.parallel_cycles, parallel) << row.seed;
+      d.u64(est.serial_cycles);
+      d.u64(est.parallel_cycles);
     }
+    expect_golden(row, {d.h});
   }
 }
 
-TEST(CompiledTree, WholeTreeEmulatorsBitIdentical) {
-  for (const std::uint64_t seed : {31u, 32u, 33u}) {
-    const ProgramTree t = random_tree(seed);
+// Per seed: emulate_ff and emulate_suitability over the whole tree.
+const GoldenRow kWholeTreeGolden[] = {
+    {31, {0x1152b386d50de517ULL, 0x96a99bfb00b35ec2ULL}},
+    {32, {0x6ffa2259bae087adULL, 0xe5a79bee6413bf93ULL}},
+    {33, {0x8d3c76613f8a2d55ULL, 0xd3444ded15342f64ULL}},
+};
+
+TEST(CompiledTree, WholeTreeEmulatorsMatchGolden) {
+  for (const GoldenRow& row : kWholeTreeGolden) {
+    const ProgramTree t = random_tree(row.seed);
     const CompiledTree ct = CompiledTree::compile(t);
     emul::FfConfig ff;
     ff.num_threads = 6;
-    const emul::FfResult a = emul::emulate_ff(t, ff);
-    const emul::FfResult b = emul::emulate_ff(ct, ff);
-    EXPECT_EQ(a.parallel_cycles, b.parallel_cycles) << seed;
-    EXPECT_EQ(a.serial_cycles, b.serial_cycles) << seed;
+    const emul::FfResult a = emul::emulate_ff(ct, ff);
     emul::SuitabilityConfig suit;
     suit.num_threads = 6;
-    const emul::FfResult c = emul::emulate_suitability(t, suit);
-    const emul::FfResult d = emul::emulate_suitability(ct, suit);
-    EXPECT_EQ(c.parallel_cycles, d.parallel_cycles) << seed;
-    EXPECT_EQ(c.serial_cycles, d.serial_cycles) << seed;
+    const emul::FfResult b = emul::emulate_suitability(ct, suit);
+    std::vector<std::uint64_t> got;
+    for (const emul::FfResult& r : {a, b}) {
+      util::Fnv64 d;
+      d.u64(r.parallel_cycles);
+      d.u64(r.serial_cycles);
+      got.push_back(d.h);
+    }
+    expect_golden(row, got);
   }
 }
 
-TEST(CompiledTree, MemoryModelPathBitIdentical) {
-  const ProgramTree t = random_tree(41);
-  ProgramTree annotated;
-  annotated.root = t.root->clone();
-  const std::vector<CoreCount> threads{2, 4, 8};
-  memmodel::CalibrationOptions copts;
-  copts.machine = report::paper_options(Method::Synthesizer).machine;
-  const memmodel::BurdenModel model(memmodel::calibrate(copts));
-  memmodel::annotate_burdens(annotated, model, threads);
+// The memory-model (PredM) variants, which read the burden tables: one
+// digest each for FF and SYN over threads × every top-level section.
+const GoldenRow kMemoryModelGolden = {
+    41, {0xd092eea7eba1d4aaULL, 0xc878661029b65183ULL}};
 
+TEST(CompiledTree, MemoryModelPathMatchesGolden) {
+  const ProgramTree annotated = annotated_tree(kMemoryModelGolden.seed);
   const CompiledTree ct = CompiledTree::compile(annotated);
-  const std::vector<const Node*> secs = top_sections(annotated);
-  ASSERT_EQ(secs.size(), ct.section_count());
-  // Burden tables survive compilation verbatim...
-  for (std::uint32_t s = 0; s < ct.section_count(); ++s) {
-    for (const CoreCount n : threads) {
-      EXPECT_EQ(ct.section_burden(s, n), secs[s]->burden(n)) << s << " " << n;
-    }
-    EXPECT_EQ(ct.section_burden(s, 64), 1.0);  // unset thread count
-  }
-  // ...and the burden-reading emulators stay bit-identical (PredM).
+  std::vector<std::uint64_t> got;
   for (const Method m : {Method::FastForward, Method::Synthesizer}) {
     PredictOptions o = report::paper_options(m);
     o.memory_model = true;
-    for (const CoreCount n : threads) {
+    util::Fnv64 d;
+    for (const CoreCount n : kBurdenThreads) {
       for (std::uint32_t s = 0; s < ct.section_count(); ++s) {
-        EXPECT_EQ(core::predict_section_cycles(*secs[s], n, o),
-                  core::predict_section_cycles(ct, s, n, o))
-            << core::to_string(m) << " threads " << n << " section " << s;
+        d.u64(core::predict_section_cycles(ct, s, n, o));
       }
     }
+    got.push_back(d.h);
   }
+  expect_golden(kMemoryModelGolden, got);
 }
+
+// ---- aggregates, run tables, block flags, digests ------------------------
 
 /// Naive recursive reference for the per-repetition subtree sums.
 struct NaiveSums {
@@ -203,24 +400,6 @@ TEST(CompiledTree, AggregatesMatchNaiveRecomputation) {
       EXPECT_EQ(agg.max_task_length, max_task) << seed;
     }
     EXPECT_EQ(ct.serial_cycles(), core::serial_cycles_of(t)) << seed;
-  }
-}
-
-TEST(CompiledTree, TaskTableMatchesLogicalIterationOrder) {
-  const ProgramTree t = random_tree(61);
-  const CompiledTree ct = CompiledTree::compile(t);
-  for (NodeId n = 0; n < ct.node_count(); ++n) {
-    if (ct.kind(n) != NodeKind::Sec) continue;
-    const CompiledTree::TaskTable table = ct.tasks_of(n);
-    // Reference: expand the RLE child list the way SectionIndex does.
-    std::vector<NodeId> expanded;
-    for (NodeId c = ct.first_child(n); c != kNoNode; c = ct.next_sibling(c)) {
-      for (std::uint64_t r = 0; r < ct.repeat(c); ++r) expanded.push_back(c);
-    }
-    ASSERT_EQ(table.trip_count(), expanded.size());
-    for (std::uint64_t i = 0; i < expanded.size(); ++i) {
-      EXPECT_EQ(table.task_at(i), expanded[i]) << "sec " << n << " trip " << i;
-    }
   }
 }
 

@@ -14,8 +14,8 @@
 #     the serve daemon.
 #   - `ctest -L perf` — the self-checking benches. Under ctest they run in
 #     smoke mode (PP_SMOKE=1, wired in bench/CMakeLists.txt): reduced grid,
-#     one sample, so the bit-identity gates — pointer vs compiled vs sweep,
-#     batched sweep vs per-point predict — still run on every PR without
+#     one sample, so the bit-identity gates — per-point predict vs memoized
+#     sweep, batched sweep vs per-point predict — still run on every PR without
 #     paying for representative timings. Run the binaries directly for real
 #     BENCH_*.json numbers.
 #   - `ctest -L reuse -LE perf` — the reuse-distance memory model

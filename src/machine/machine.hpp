@@ -20,6 +20,24 @@
 // time. Exec ops take simulated time; Acquire/Release/Wait/Notify are
 // instantaneous control ops (runtime models add explicit Exec overhead ops
 // around them to charge costs).
+//
+// Event scheduling. After every processed event the machine recomputes the
+// bandwidth dilation and each running Exec op's due time,
+// now + ceil(remaining compute + dilation * remaining mem). A thread's
+// OpComplete is (re)pushed only when the dilation changed at this event
+// (then every running op is re-pushed), when the thread has no live
+// completion, or when its due time differs from the one already queued.
+// Otherwise the queued event stands: it carries exactly the time a re-push
+// would give it. Each push bumps the thread's generation, which turns its
+// previous event stale. Skipping after a dilation change would be exact
+// too, but it changes how the queue grows, and profiles read host heap
+// addresses, so the full re-push stays there.
+//
+// Same-time ordering. Events pop by (time, QuantumCheck before OpComplete,
+// order), where `order` is the push order of a quantum check and the core
+// index of a completion. This is the order a full re-push after every event
+// gives (each re-push follows every live quantum check and walks the cores
+// by index), so skipping a re-push never reorders two live events.
 #pragma once
 
 #include <cstdint>
@@ -125,8 +143,10 @@ struct MachineStats {
   // DES work counters: what simulating cost, not what was simulated.
   std::uint64_t events = 0;        ///< events popped from the queue
   std::uint64_t stale_events = 0;  ///< popped events a newer one superseded
-  /// OpComplete events (re)pushed by the contention update that follows
-  /// every processed event; each supersedes the thread's previous one.
+  /// OpComplete events pushed by the contention update that follows every
+  /// processed event: for every running op when the dilation changed, else
+  /// only for a new op or one whose due time moved. Each supersedes the
+  /// thread's previous completion.
   std::uint64_t reschedules = 0;
 };
 
@@ -176,16 +196,22 @@ class Machine {
   /// thread/core bumps its generation whenever its schedule changes.
   struct Event {
     Cycles time = 0;
-    std::uint64_t seq = 0;  // FIFO tie-break for determinism
+    /// Same-time tie-break (see the header comment): push order for a
+    /// QuantumCheck, the running core's index for an OpComplete.
+    std::uint64_t order = 0;
     enum class Kind : std::uint8_t { OpComplete, QuantumCheck } kind =
         Kind::OpComplete;
     std::uint32_t target = 0;      // thread id or core index
     std::uint64_t generation = 0;  // must match target's generation
   };
+  // Profiles read host heap addresses, so the queue's allocation sizes are
+  // observable in predictions; keep Event at 32 bytes.
+  static_assert(sizeof(Event) == 32, "Event size changes heap layout");
   struct EventCmp {
     bool operator()(const Event& a, const Event& b) const {
       if (a.time != b.time) return a.time > b.time;  // min-heap
-      return a.seq > b.seq;
+      if (a.kind != b.kind) return a.kind == Event::Kind::OpComplete;
+      return a.order > b.order;
     }
   };
 
@@ -193,7 +219,6 @@ class Machine {
   void dispatch(std::uint32_t core_idx);
   void block_current(SimThread& t);
   void advance_running_progress();
-  void reschedule_running();
   void update_contention_and_reschedule();
   void fetch_and_process_ops(ThreadId tid);
   void finish_thread(ThreadId tid);
@@ -205,7 +230,7 @@ class Machine {
   MachineConfig cfg_;
   BandwidthModel bw_;
   Cycles now_ = 0;
-  std::uint64_t event_seq_ = 0;
+  std::uint64_t quantum_seq_ = 0;  // push order of QuantumCheck events
   bool ran_ = false;
 
   std::vector<std::unique_ptr<SimThread>> threads_;

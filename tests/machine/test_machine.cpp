@@ -415,6 +415,27 @@ TEST(Machine, WorkCountersUnderTimeSlicing) {
   EXPECT_EQ(s.context_switches, 4u);
 }
 
+TEST(Machine, UnmovedCompletionIsNotRepushed) {
+  // Two memory tasks of unequal length on 2 cores below saturation: the
+  // dilation stays 1, so the survivor's queued completion stands.
+  MachineConfig c = cfg(2);
+  c.bandwidth.saturation_mbps = 4000;
+  Machine m(c);
+  m.spawn_thread(std::make_unique<ScriptBody>(
+      std::vector<Op>{Op::exec(1000, 1000, 1000)}));
+  m.spawn_thread(std::make_unique<ScriptBody>(
+      std::vector<Op>{Op::exec(2000, 2000, 1000)}));
+  const MachineStats s = m.run();
+  // run() opens at f = 1: push A@2000, B@4000               (2 reschedules)
+  // pop A@2000: A exits, f stays 1; B has 1000 + 1000 left, due 4000 as
+  //             queued, so no push                          (event 1)
+  // pop B@4000: B exits                                     (event 2)
+  EXPECT_EQ(s.finish_time, 4000u);
+  EXPECT_EQ(s.events, 2u);
+  EXPECT_EQ(s.stale_events, 0u);
+  EXPECT_EQ(s.reschedules, 2u);
+}
+
 TEST(Machine, StaleEventsNeverExceedEvents) {
   for (const CoreCount cores : {1u, 2u, 3u}) {
     MachineConfig c = cfg(cores, /*quantum=*/700);

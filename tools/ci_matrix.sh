@@ -28,6 +28,11 @@
 #   - `ctest -L advisor -LE perf` — the what-if advisor (docs/ADVISOR.md):
 #     compiled-vs-pointer edit differentials, the Advice API, and the
 #     action-soundness property suite.
+#   - `ctest -L des` — the discrete-event machine and the OpenMP/Cilk
+#     executors on it: hand-derived schedules and work counts, the DES
+#     bit-identity golden and its popped-event budget. The event queue's
+#     lazy re-push keeps per-thread due-time bookkeeping, which a sanitizer
+#     should watch.
 #
 # `thread` is also accepted (README documents the TSan + `-L concurrency`
 # combination) but is not in the default set: TSan roughly 10x-es the
@@ -100,6 +105,8 @@ for san in "${sans[@]}"; do
   # code worth a sanitizer pass. (-LE perf: bench_advisor, which carries
   # both labels, already gated soundness + memo cost in the perf stage.)
   ctest --test-dir "${bdir}" -L advisor -LE perf --output-on-failure
+  echo "=== ${san}: des label ==="
+  ctest --test-dir "${bdir}" -L des --output-on-failure
 done
 
 # The epoll reactor under real concurrency: both transports, dozens of

@@ -1,15 +1,20 @@
 #include "cli/cli.hpp"
 
 #include <array>
+#include <charconv>
 #include <chrono>
+#include <cstdint>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <map>
 #include <optional>
 #include <ostream>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 
 #include "core/advise.hpp"
 #include "core/machine_sweep.hpp"
@@ -93,25 +98,128 @@ bool parse_list(const std::string& v, std::vector<T>& out, ParseOne one) {
   return !out.empty();
 }
 
-bool parse_chunk(const std::string& v, std::uint64_t& out) {
-  out = std::strtoull(v.c_str(), nullptr, 10);
-  return out != 0;
+/// Parses the whole of `v` as a T in [lo, hi]. No sign the type cannot
+/// hold, no trailing text, no out-of-range value wrapped into range.
+template <typename T>
+bool parse_number(const std::string& v, T& out, T lo, T hi) {
+  T n{};
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
+  if (ec != std::errc() || end != v.data() + v.size()) return false;
+  if (!(n >= lo && n <= hi)) return false;  // NaN fails too
+  out = n;
+  return true;
 }
 
-bool parse_threads(const std::string& v, std::vector<CoreCount>& out) {
-  out.clear();
-  std::istringstream is(v);
-  std::string tok;
-  while (std::getline(is, tok, ',')) {
-    try {
-      const long n = std::stol(tok);
-      if (n <= 0) return false;
-      out.push_back(static_cast<CoreCount>(n));
-    } catch (...) {
-      return false;
-    }
-  }
-  return !out.empty();
+/// Stores one flag's value into Options; false when the value is malformed.
+using Setter = std::function<bool(const std::string&, Options&)>;
+
+Setter text(std::string Options::*field) {
+  return [=](const std::string& v, Options& o) {
+    o.*field = v;
+    return true;
+  };
+}
+
+template <typename T>
+Setter number(T Options::*field, T lo, T hi = std::numeric_limits<T>::max()) {
+  return [=](const std::string& v, Options& o) {
+    return parse_number(v, o.*field, lo, hi);
+  };
+}
+
+template <typename T, typename ParseOne>
+Setter one_of(T Options::*field, ParseOne parse) {
+  return [=](const std::string& v, Options& o) { return parse(v, o.*field); };
+}
+
+template <typename T, typename ParseOne>
+Setter list(std::vector<T> Options::*field, ParseOne one) {
+  return [=](const std::string& v, Options& o) {
+    return parse_list<T>(v, o.*field, one);
+  };
+}
+
+template <typename T>
+bool positive(const std::string& v, T& out) {
+  return parse_number<T>(v, out, 1, std::numeric_limits<T>::max());
+}
+
+/// One command-line flag. A flag either takes the next argument as its value
+/// (`set`) or is a switch (`toggle`); a rejected value prints
+/// "bad NAME (use e.g. HINT)".
+struct Flag {
+  std::string name;
+  Setter set;
+  std::string hint = {};
+  bool Options::*toggle = nullptr;
+  bool inline_file = false;  ///< NAME=FILE is accepted too
+};
+
+/// Every flag of every command. Numeric ranges also bound the arithmetic
+/// done on the value later: cmd_serve shifts --cache-mb by 20 and multiplies
+/// --slow-ms by 1000, and cmd_stats sleeps --watch seconds.
+const std::vector<Flag>& flags() {
+  using u64 = std::uint64_t;
+  static const std::vector<Flag> kFlags = {
+      {"--tree", text(&Options::tree_path)},
+      {"-o", text(&Options::output_path)},
+      {"--output", text(&Options::output_path)},
+      {"--method", one_of(&Options::method, parse_method)},
+      {"--paradigm", one_of(&Options::paradigm, parse_paradigm)},
+      {"--schedule", one_of(&Options::schedule, parse_schedule)},
+      {"--chunk", number<u64>(&Options::chunk, 1)},
+      {"--threads", list(&Options::threads, positive<CoreCount>), "2,4,8"},
+      {"--cores", number<CoreCount>(&Options::cores, 1)},
+      {"--target-threads", number<CoreCount>(&Options::target_threads, 1)},
+      {"--methods", list(&Options::methods, parse_method), "ff,syn,suit,real"},
+      {"--paradigms", list(&Options::paradigms, parse_paradigm), "omp,cilk"},
+      {"--schedules", list(&Options::schedules, parse_schedule),
+       "static1,static,dynamic"},
+      {"--chunks", list(&Options::chunks, positive<u64>), "1,4"},
+      {"--machine", text(&Options::machine)},
+      {"--machines",
+       [](const std::string& v, Options& o) {
+         // Empty entries are skipped: "westmere,,skylake," names two.
+         o.machines.clear();
+         std::istringstream is(v);
+         for (std::string tok; std::getline(is, tok, ',');) {
+           if (!tok.empty()) o.machines.push_back(tok);
+         }
+         return !o.machines.empty();
+       },
+       "westmere,skylake"},
+      {"--workers", number<std::size_t>(&Options::workers, 0)},
+      {"--memory-model", nullptr, {}, &Options::memory_model},
+      {"--tolerance", number(&Options::tolerance, 0.0, 1.0)},
+      {"--lossy", nullptr, {}, &Options::lossy},
+      {"--csv", text(&Options::csv_path)},
+      {"--metrics",
+       [](const std::string& v, Options& o) {
+         o.metrics = true;
+         o.metrics_path = v;
+         return true;
+       },
+       {}, &Options::metrics, true},
+      {"--trace-out", text(&Options::trace_path), {}, nullptr, true},
+      {"--socket", text(&Options::socket_path)},
+      {"--listen", text(&Options::listen_tcp)},
+      {"--connect", text(&Options::connect_spec)},
+      {"--op", text(&Options::op)},
+      {"--key", text(&Options::key)},
+      {"--serve-workers", number<std::size_t>(&Options::serve_workers, 1)},
+      {"--queue-limit", number<std::size_t>(&Options::queue_limit, 1)},
+      {"--cache-mb",
+       number<std::size_t>(&Options::cache_mb, 1, SIZE_MAX >> 20)},
+      {"--deadline-ms", number<u64>(&Options::deadline_ms, 1)},
+      {"--log", text(&Options::log_path)},
+      // 0 is legal: it disables the always-log threshold.
+      {"--slow-ms", number<u64>(&Options::slow_ms, 0, UINT64_MAX / 1000)},
+      {"--log-sample", number<u64>(&Options::log_sample, 1)},
+      {"--watch", number<u64>(&Options::watch_secs, 1,
+                              std::chrono::seconds::max().count())},
+      {"--samples", number<u64>(&Options::watch_samples, 1)},
+  };
+  return kFlags;
 }
 
 /// Resolves one preset name, printing the shared one-line diagnostic on
@@ -148,33 +256,45 @@ std::optional<tree::ProgramTree> load_tree(const std::string& path,
   }
 }
 
-int cmd_predict(const Options& opts, std::ostream& out, std::ostream& err) {
+/// The pricing step of predict, sweep and advise: loads the tree, projects
+/// it onto `preset` when one is named (the preset becomes `base`'s machine),
+/// attaches β calibrated on `base`'s machine under --memory-model, and
+/// compiles once.
+std::optional<tree::CompiledTree> price(const Options& opts,
+                                        const std::string& preset,
+                                        core::PredictOptions& base,
+                                        std::ostream& err) {
   auto t = load_tree(opts.tree_path, err);
-  if (!t) return 1;
+  if (!t) return std::nullopt;
+  if (!preset.empty()) {
+    // The preset is the whole machine (cores included), and sections
+    // carrying reuse profiles get their counters re-derived for its cache
+    // hierarchy (docs/MEMMODEL.md).
+    const machine::MachinePreset* p = resolve_machine(preset, err);
+    if (p == nullptr) return std::nullopt;
+    reuse::project_tree(*t, p->cache, p->cost.dram);
+    base.machine = p->machine;
+    base.dram_stall = p->cost.dram;
+  }
+  if (opts.memory_model) {
+    memmodel::CalibrationOptions copts;
+    copts.machine = base.machine;
+    copts.dram_stall = base.dram_stall;
+    const memmodel::BurdenModel model(memmodel::calibrate(copts));
+    memmodel::annotate_burdens(*t, model, opts.threads);
+  }
+  return tree::CompiledTree::compile(*t);
+}
 
+int cmd_predict(const Options& opts, std::ostream& out, std::ostream& err) {
   core::PredictOptions po = report::paper_options(opts.method);
   po.paradigm = opts.paradigm;
   po.schedule = opts.schedule;
   po.chunk = opts.chunk;
   po.machine.cores = opts.cores;
   po.memory_model = opts.memory_model;
-  if (!opts.machine.empty()) {
-    // Price the tree on a named preset: the preset is the whole machine
-    // (cores included), and sections carrying reuse profiles get their
-    // counters re-derived for its cache hierarchy (docs/MEMMODEL.md).
-    const machine::MachinePreset* preset = resolve_machine(opts.machine, err);
-    if (preset == nullptr) return 1;
-    reuse::project_tree(*t, preset->cache, preset->cost.dram);
-    po.machine = preset->machine;
-    po.dram_stall = preset->cost.dram;
-  }
-  if (opts.memory_model) {
-    memmodel::CalibrationOptions copts;
-    copts.machine = po.machine;
-    copts.dram_stall = po.dram_stall;
-    const memmodel::BurdenModel model(memmodel::calibrate(copts));
-    memmodel::annotate_burdens(*t, model, opts.threads);
-  }
+  const auto compiled = price(opts, opts.machine, po, err);
+  if (!compiled) return 1;
 
   // `--csv -` streams the CSV to stdout: the table is suppressed and status
   // lines move to stderr so stdout stays machine-readable.
@@ -190,7 +310,7 @@ int cmd_predict(const Options& opts, std::ostream& out, std::ostream& err) {
     core::PredictOptions po_n = po;
     if (sink != nullptr) po_n.timeline = &timeline;
     obs::ScopedSpan span("predict t=" + std::to_string(n), "cli");
-    const core::SpeedupEstimate est = core::predict(*t, n, po_n);
+    const core::SpeedupEstimate est = core::predict(*compiled, n, po_n);
     table.add_row({std::to_string(n), util::fmt_f(est.speedup, 2),
                    util::fmt_i(static_cast<long long>(est.parallel_cycles))});
     csv.add_row({std::to_string(n), util::fmt_f(est.speedup, 4),
@@ -232,9 +352,6 @@ int cmd_predict(const Options& opts, std::ostream& out, std::ostream& err) {
 // threads) through the memoizing engine (core/sweep.hpp), with the cache
 // hit-rate and wall-clock reported so the batching win is visible.
 int cmd_sweep(const Options& opts, std::ostream& out, std::ostream& err) {
-  auto t = load_tree(opts.tree_path, err);
-  if (!t) return 1;
-
   core::SweepGrid grid;
   grid.methods = opts.methods.empty()
                      ? std::vector<core::Method>{opts.method}
@@ -261,16 +378,17 @@ int cmd_sweep(const Options& opts, std::ostream& out, std::ostream& err) {
   // the rows. Without --machines the classic single-machine sweep (and its
   // CSV schema) is unchanged.
   const bool by_machine = !opts.machines.empty();
-  std::vector<machine::MachinePreset> presets;
-  for (const std::string& name : opts.machines) {
-    const machine::MachinePreset* p = resolve_machine(name, err);
-    if (p == nullptr) return 1;
-    presets.push_back(*p);
-  }
-
   std::vector<std::pair<std::string, core::SweepResult>> runs;
   std::size_t projected = 0;
   if (by_machine) {
+    const auto t = load_tree(opts.tree_path, err);
+    if (!t) return 1;
+    std::vector<machine::MachinePreset> presets;
+    for (const std::string& name : opts.machines) {
+      const machine::MachinePreset* p = resolve_machine(name, err);
+      if (p == nullptr) return 1;
+      presets.push_back(*p);
+    }
     core::MachineSweepResult mres =
         core::sweep_machines(*t, presets, grid, sopts);
     for (core::MachineSweepEntry& e : mres.machines) {
@@ -278,13 +396,9 @@ int cmd_sweep(const Options& opts, std::ostream& out, std::ostream& err) {
       runs.emplace_back(std::move(e.machine), std::move(e.result));
     }
   } else {
-    if (opts.memory_model) {
-      memmodel::CalibrationOptions copts;
-      copts.machine = grid.base.machine;
-      const memmodel::BurdenModel model(memmodel::calibrate(copts));
-      memmodel::annotate_burdens(*t, model, opts.threads);
-    }
-    runs.emplace_back("", core::sweep(*t, grid, sopts));
+    const auto compiled = price(opts, "", grid.base, err);
+    if (!compiled) return 1;
+    runs.emplace_back("", core::sweep(*compiled, grid, sopts));
   }
 
   std::vector<std::string> table_cols{"method",  "paradigm", "schedule",
@@ -426,8 +540,6 @@ int cmd_compress(const Options& opts, std::ostream& out, std::ostream& err) {
 // The what-if advisor (docs/ADVISOR.md): critical-path profile per section,
 // the configuration search, and the ranked hypothetical edits.
 int cmd_advise(const Options& opts, std::ostream& out, std::ostream& err) {
-  auto t = load_tree(opts.tree_path, err);
-  if (!t) return 1;
   core::AdviseOptions ao;
   ao.base = report::paper_options(core::Method::Synthesizer);
   ao.base.machine.cores = opts.cores;
@@ -435,13 +547,9 @@ int cmd_advise(const Options& opts, std::ostream& out, std::ostream& err) {
   ao.grid.thread_counts = opts.threads;
   ao.grid.chunks.clear();  // sweep with the base chunk
   ao.target_threads = opts.target_threads;
-  if (opts.memory_model) {
-    memmodel::CalibrationOptions copts;
-    copts.machine = ao.base.machine;
-    const memmodel::BurdenModel model(memmodel::calibrate(copts));
-    memmodel::annotate_burdens(*t, model, opts.threads);
-  }
-  const core::Advice advice = core::advise(*t, ao);
+  const auto compiled = price(opts, "", ao.base, err);
+  if (!compiled) return 1;
+  const core::Advice advice = core::advise(*compiled, ao);
 
   const core::CriticalPathProfile& prof = advice.profile;
   out << "serial: " << util::fmt_i(static_cast<long long>(prof.serial_cycles))
@@ -628,35 +736,25 @@ serve::JsonValue build_client_request(const Options& opts,
     }
     return req;  // the advisor sweeps its own dimensions
   }
-  serve::JsonValue::Array methods, paradigms, schedules, chunks;
-  if (opts.methods.empty()) {
-    methods.emplace_back(serve::wire_name(opts.method));
-  } else {
-    for (const auto m : opts.methods) methods.emplace_back(serve::wire_name(m));
-  }
-  if (opts.paradigms.empty()) {
-    paradigms.emplace_back(serve::wire_name(opts.paradigm));
-  } else {
-    for (const auto p : opts.paradigms) {
-      paradigms.emplace_back(serve::wire_name(p));
-    }
-  }
-  if (opts.schedules.empty()) {
-    schedules.emplace_back(serve::wire_name(opts.schedule));
-  } else {
-    for (const auto s : opts.schedules) {
-      schedules.emplace_back(serve::wire_name(s));
-    }
-  }
-  if (opts.chunks.empty()) {
-    chunks.emplace_back(opts.chunk);
-  } else {
-    for (const auto c : opts.chunks) chunks.emplace_back(c);
-  }
-  req.set("methods", serve::JsonValue(std::move(methods)));
-  req.set("paradigms", serve::JsonValue(std::move(paradigms)));
-  req.set("schedules", serve::JsonValue(std::move(schedules)));
-  req.set("chunks", serve::JsonValue(std::move(chunks)));
+  // Each grid axis sends its list flag, else the singular flag's value.
+  const auto axis = [&req](const char* name, const auto& list,
+                           const auto& single) {
+    const auto wire = [](const auto& v) {
+      if constexpr (std::is_integral_v<std::decay_t<decltype(v)>>) {
+        return serve::JsonValue(v);
+      } else {
+        return serve::JsonValue(serve::wire_name(v));
+      }
+    };
+    serve::JsonValue::Array values;
+    if (list.empty()) values.push_back(wire(single));
+    for (const auto& v : list) values.push_back(wire(v));
+    req.set(name, serve::JsonValue(std::move(values)));
+  };
+  axis("methods", opts.methods, opts.method);
+  axis("paradigms", opts.paradigms, opts.paradigm);
+  axis("schedules", opts.schedules, opts.schedule);
+  axis("chunks", opts.chunks, opts.chunk);
   if (!opts.machines.empty()) {
     serve::JsonValue::Array machines;
     for (const std::string& m : opts.machines) machines.emplace_back(m);
@@ -714,6 +812,22 @@ void print_advice(const serve::JsonValue& result, std::ostream& out) {
   }
 }
 
+/// Connects to --connect HOST:PORT, else --socket PATH; on failure prints
+/// one line and returns false.
+bool connect(serve::Client& client, const Options& opts, std::ostream& err) {
+  try {
+    if (!opts.connect_spec.empty()) {
+      client.connect_endpoint(opts.connect_spec);
+    } else {
+      client.connect(opts.socket_path);
+    }
+    return true;
+  } catch (const std::exception& e) {
+    err << "pprophet: " << e.what() << "\n";
+    return false;
+  }
+}
+
 // One-shot client: connect, upload the tree (unless --key references an
 // already-stored one), send the requested op, render the response.
 int cmd_client(const Options& opts, std::ostream& out, std::ostream& err) {
@@ -738,13 +852,8 @@ int cmd_client(const Options& opts, std::ostream& out, std::ostream& err) {
   }
 
   serve::Client client;
+  if (!connect(client, opts, err)) return 1;
   try {
-    if (!opts.connect_spec.empty()) {
-      client.connect_endpoint(opts.connect_spec);
-    } else {
-      client.connect(opts.socket_path);
-    }
-
     if (op == "ping" || op == "stats") {
       const serve::JsonValue resp = client.call(op);
       out << serve::json_dump(resp) << "\n";
@@ -822,16 +931,7 @@ int cmd_stats(const Options& opts, std::ostream& out, std::ostream& err) {
     return 1;
   }
   serve::Client client;
-  try {
-    if (!opts.connect_spec.empty()) {
-      client.connect_endpoint(opts.connect_spec);
-    } else {
-      client.connect(opts.socket_path);
-    }
-  } catch (const std::exception& e) {
-    err << "pprophet: " << e.what() << "\n";
-    return 1;
-  }
+  if (!connect(client, opts, err)) return 1;
   // quantile rows remembered between polls: name -> {count, p50, p90, p99}
   std::map<std::string, std::array<std::uint64_t, 4>> prev;
   std::uint64_t prev_requests = 0;
@@ -924,265 +1024,42 @@ std::optional<Options> parse_args(const std::vector<std::string>& args,
   bool positional_op = false;
   for (std::size_t i = 1; i < args.size(); ++i) {
     const std::string& a = args[i];
-    const auto need_value = [&]() -> std::optional<std::string> {
-      if (i + 1 >= args.size()) {
-        err << "pprophet: " << a << " needs a value\n";
-        return std::nullopt;
+    const std::size_t eq = a.find('=');  // NAME=FILE
+    const Flag* flag = nullptr;
+    for (const Flag& f : flags()) {
+      if (a.compare(0, eq, f.name) == 0 &&
+          (eq == std::string::npos || f.inline_file)) {
+        flag = &f;
       }
-      return args[++i];
-    };
-    if (a == "--tree") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      opts.tree_path = *v;
-    } else if (a == "-o" || a == "--output") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      opts.output_path = *v;
-    } else if (a == "--method") {
-      const auto v = need_value();
-      if (!v || !parse_method(*v, opts.method)) {
-        err << "pprophet: bad --method\n";
-        return std::nullopt;
+    }
+    if (flag == nullptr) {
+      if (opts.command == "client" && a.rfind("--", 0) != 0 &&
+          !positional_op) {
+        // `pprophet client stats` reads better than `--op stats`; the first
+        // bare word is the op.
+        opts.op = a;
+        positional_op = true;
+        continue;
       }
-    } else if (a == "--paradigm") {
-      // Same shared parser as --paradigms and the wire protocol, so the
-      // accepted spellings cannot drift between subcommands.
-      const auto v = need_value();
-      if (!v || !parse_paradigm(*v, opts.paradigm)) {
-        err << "pprophet: bad --paradigm\n";
-        return std::nullopt;
-      }
-    } else if (a == "--schedule") {
-      const auto v = need_value();
-      if (!v || !parse_schedule(*v, opts.schedule)) {
-        err << "pprophet: bad --schedule\n";
-        return std::nullopt;
-      }
-    } else if (a == "--chunk") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      opts.chunk = std::strtoull(v->c_str(), nullptr, 10);
-      if (opts.chunk == 0) {
-        err << "pprophet: bad --chunk\n";
-        return std::nullopt;
-      }
-    } else if (a == "--threads") {
-      const auto v = need_value();
-      if (!v || !parse_threads(*v, opts.threads)) {
-        err << "pprophet: bad --threads (use e.g. 2,4,8)\n";
-        return std::nullopt;
-      }
-    } else if (a == "--cores") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      const long n = std::strtol(v->c_str(), nullptr, 10);
-      if (n <= 0) {
-        err << "pprophet: bad --cores\n";
-        return std::nullopt;
-      }
-      opts.cores = static_cast<CoreCount>(n);
-    } else if (a == "--target-threads") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      const long n = std::strtol(v->c_str(), nullptr, 10);
-      if (n <= 0) {
-        err << "pprophet: bad --target-threads\n";
-        return std::nullopt;
-      }
-      opts.target_threads = static_cast<CoreCount>(n);
-    } else if (a == "--methods") {
-      const auto v = need_value();
-      if (!v || !parse_list<core::Method>(*v, opts.methods, parse_method)) {
-        err << "pprophet: bad --methods (use e.g. ff,syn,suit,real)\n";
-        return std::nullopt;
-      }
-    } else if (a == "--paradigms") {
-      const auto v = need_value();
-      if (!v ||
-          !parse_list<core::Paradigm>(*v, opts.paradigms, parse_paradigm)) {
-        err << "pprophet: bad --paradigms (use e.g. omp,cilk)\n";
-        return std::nullopt;
-      }
-    } else if (a == "--schedules") {
-      const auto v = need_value();
-      if (!v || !parse_list<runtime::OmpSchedule>(*v, opts.schedules,
-                                                  parse_schedule)) {
-        err << "pprophet: bad --schedules (use e.g. static1,static,dynamic)\n";
-        return std::nullopt;
-      }
-    } else if (a == "--chunks") {
-      const auto v = need_value();
-      if (!v || !parse_list<std::uint64_t>(*v, opts.chunks, parse_chunk)) {
-        err << "pprophet: bad --chunks (use e.g. 1,4)\n";
-        return std::nullopt;
-      }
-    } else if (a == "--machine") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      opts.machine = *v;
-    } else if (a == "--machines") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      opts.machines.clear();
-      std::istringstream is(*v);
-      std::string tok;
-      while (std::getline(is, tok, ',')) {
-        if (!tok.empty()) opts.machines.push_back(tok);
-      }
-      if (opts.machines.empty()) {
-        err << "pprophet: bad --machines (use e.g. westmere,skylake)\n";
-        return std::nullopt;
-      }
-    } else if (a == "--workers") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      const long n = std::strtol(v->c_str(), nullptr, 10);
-      if (n < 0) {
-        err << "pprophet: bad --workers\n";
-        return std::nullopt;
-      }
-      opts.workers = static_cast<std::size_t>(n);
-    } else if (a == "--memory-model") {
-      opts.memory_model = true;
-    } else if (a == "--tolerance") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      opts.tolerance = std::strtod(v->c_str(), nullptr);
-      if (opts.tolerance < 0.0 || opts.tolerance > 1.0) {
-        err << "pprophet: bad --tolerance\n";
-        return std::nullopt;
-      }
-    } else if (a == "--lossy") {
-      opts.lossy = true;
-    } else if (a == "--csv") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      opts.csv_path = *v;
-    } else if (a == "--metrics") {
-      opts.metrics = true;
-    } else if (a.rfind("--metrics=", 0) == 0) {
-      opts.metrics = true;
-      opts.metrics_path = a.substr(std::string("--metrics=").size());
-      if (opts.metrics_path.empty()) {
-        err << "pprophet: --metrics= needs a file name\n";
-        return std::nullopt;
-      }
-    } else if (a == "--trace-out") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      opts.trace_path = *v;
-    } else if (a.rfind("--trace-out=", 0) == 0) {
-      opts.trace_path = a.substr(std::string("--trace-out=").size());
-      if (opts.trace_path.empty()) {
-        err << "pprophet: --trace-out= needs a file name\n";
-        return std::nullopt;
-      }
-    } else if (a == "--socket") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      opts.socket_path = *v;
-    } else if (a == "--listen") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      opts.listen_tcp = *v;
-    } else if (a == "--connect") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      opts.connect_spec = *v;
-    } else if (a == "--op") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      opts.op = *v;
-    } else if (a == "--key") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      opts.key = *v;
-    } else if (a == "--serve-workers") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      const long n = std::strtol(v->c_str(), nullptr, 10);
-      if (n <= 0) {
-        err << "pprophet: bad --serve-workers\n";
-        return std::nullopt;
-      }
-      opts.serve_workers = static_cast<std::size_t>(n);
-    } else if (a == "--queue-limit") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      const long n = std::strtol(v->c_str(), nullptr, 10);
-      if (n <= 0) {
-        err << "pprophet: bad --queue-limit\n";
-        return std::nullopt;
-      }
-      opts.queue_limit = static_cast<std::size_t>(n);
-    } else if (a == "--cache-mb") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      const long n = std::strtol(v->c_str(), nullptr, 10);
-      if (n <= 0) {
-        err << "pprophet: bad --cache-mb\n";
-        return std::nullopt;
-      }
-      opts.cache_mb = static_cast<std::size_t>(n);
-    } else if (a == "--deadline-ms") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      const long n = std::strtol(v->c_str(), nullptr, 10);
-      if (n <= 0) {
-        err << "pprophet: bad --deadline-ms\n";
-        return std::nullopt;
-      }
-      opts.deadline_ms = static_cast<std::uint64_t>(n);
-    } else if (a == "--log") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      opts.log_path = *v;
-    } else if (a == "--slow-ms") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      const long n = std::strtol(v->c_str(), nullptr, 10);
-      if (n < 0) {  // 0 is legal: it disables the always-log threshold
-        err << "pprophet: bad --slow-ms\n";
-        return std::nullopt;
-      }
-      opts.slow_ms = static_cast<std::uint64_t>(n);
-    } else if (a == "--log-sample") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      const long n = std::strtol(v->c_str(), nullptr, 10);
-      if (n <= 0) {
-        err << "pprophet: bad --log-sample\n";
-        return std::nullopt;
-      }
-      opts.log_sample = static_cast<std::uint64_t>(n);
-    } else if (a == "--watch") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      const long n = std::strtol(v->c_str(), nullptr, 10);
-      if (n <= 0) {
-        err << "pprophet: bad --watch\n";
-        return std::nullopt;
-      }
-      opts.watch_secs = static_cast<std::uint64_t>(n);
-    } else if (a == "--samples") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      const long n = std::strtol(v->c_str(), nullptr, 10);
-      if (n <= 0) {
-        err << "pprophet: bad --samples\n";
-        return std::nullopt;
-      }
-      opts.watch_samples = static_cast<std::uint64_t>(n);
-    } else if (opts.command == "client" && a.rfind("--", 0) != 0 &&
-               !positional_op) {
-      // `pprophet client stats` reads better than `--op stats`; the first
-      // bare word is the op.
-      opts.op = a;
-      positional_op = true;
-    } else {
       err << "pprophet: unknown option '" << a
           << "' (run 'pprophet help' for usage)\n";
+      return std::nullopt;
+    }
+    if (eq != std::string::npos) {
+      if (eq + 1 == a.size()) {
+        err << "pprophet: " << flag->name << "= needs a file name\n";
+        return std::nullopt;
+      }
+      flag->set(a.substr(eq + 1), opts);
+    } else if (flag->toggle != nullptr) {
+      opts.*(flag->toggle) = true;
+    } else if (i + 1 >= args.size()) {
+      err << "pprophet: " << a << " needs a value\n";
+      return std::nullopt;
+    } else if (!flag->set(args[++i], opts)) {
+      err << "pprophet: bad " << flag->name;
+      if (!flag->hint.empty()) err << " (use e.g. " << flag->hint << ")";
+      err << "\n";
       return std::nullopt;
     }
   }

@@ -1,35 +1,7 @@
-// pprophet command-line tool: predict / inspect / compress program trees
-// saved in the text serialization format (tree/serialize.hpp).
-//
-//   pprophet predict  --tree t.ptree [--method syn] [--paradigm omp]
-//                     [--schedule static1] [--chunk 1] [--threads 2,4,8,12]
-//                     [--cores 12] [--memory-model] [--csv out.csv]
-//   pprophet inspect  --tree t.ptree
-//   pprophet compress --tree t.ptree -o out.ptree [--tolerance 0.05] [--lossy]
-//   pprophet advise   --tree t.ptree [--threads 2,4,8] [--cores N]
-//                     [--target-threads N] [--memory-model]
-//   pprophet timeline --tree t.ptree [--threads N] [--paradigm omp|cilk]
-//   pprophet sweep    --tree t.ptree [--methods ff,syn,suit,real]
-//                     [--paradigms omp,cilk] [--schedules static1,static,dynamic]
-//                     [--chunks 1,4] [--threads 2,4,8] [--cores N]
-//                     [--memory-model] [--workers N] [--csv out.csv]
-//   pprophet serve    --socket /run/pp.sock [--listen HOST:PORT]
-//                     [--serve-workers N] [--queue-limit N] [--cache-mb N]
-//                     [--cores N] [--log FILE] [--slow-ms N] [--log-sample N]
-//   pprophet client   --socket /run/pp.sock | --connect HOST:PORT
-//                     [--op] ping|stats|upload|predict|
-//                     sweep|advise [--tree t.ptree | --key HASH] [...]
-//   pprophet stats    --socket /run/pp.sock | --connect HOST:PORT
-//                     [--watch N] [--samples M]
-//
-// Global observability flags (docs/OBSERVABILITY.md):
-//   --metrics[=FILE]   enable the metrics registry; snapshot to stderr as
-//                      text, or to FILE rendered by extension (.json/.csv)
-//   --trace-out FILE   write a Chrome trace-event JSON of the run (pipeline
-//                      stages + emulated per-CPU timelines); load it in
-//                      chrome://tracing or ui.perfetto.dev
-//   --csv -            (predict/sweep) stream the CSV to stdout instead of a
-//                      file, suppressing the table; status lines go to stderr
+// pprophet command-line tool: predict / inspect / compress / advise /
+// timeline / sweep over program trees saved in the text serialization format
+// (tree/serialize.hpp), and the prediction service (serve / client / stats).
+// `pprophet help` prints the usage of every command and flag.
 //
 // The entry point is a plain function so tests can drive it without
 // spawning processes.

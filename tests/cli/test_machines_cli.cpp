@@ -11,6 +11,7 @@
 #include "reuse/histogram.hpp"
 #include "tree/builder.hpp"
 #include "tree/serialize.hpp"
+#include "util/fnv.hpp"
 
 namespace pprophet::cli {
 namespace {
@@ -127,6 +128,70 @@ TEST_F(MachinesCliTest, ClassicSweepSchemaUnchangedWithoutMachines) {
   std::string header;
   ASSERT_TRUE(std::getline(lines, header));
   EXPECT_EQ(header.rfind("method,", 0), 0u) << header;
+}
+
+// Goldens for the pricing step predict, sweep and advise share: preset
+// projection, Ψ/Φ calibration on the machine the command predicts on, β
+// attachment and compilation. FNV-64 of stdout, recorded before the three
+// commands shared one helper. The tree is built, not profiled, so no host
+// address reaches these bytes.
+TEST_F(MachinesCliTest, MemoryModelOutputsMatchGoldens) {
+  const std::string path = testing::TempDir() + "cli_memory_bound.ptree";
+  {
+    tree::TreeBuilder b;
+    b.u(2'000);
+    b.begin_sec("stream");
+    b.begin_task("t").u(4'000).end_task().repeat_last(48);
+    tree::SectionCounters c;
+    c.instructions = 150'000;
+    c.cycles = 192'000;
+    c.llc_misses = 9'000;
+    c.llc_writebacks = 3'000;
+    b.counters(c).end_sec();
+    b.u(1'000);
+    b.begin_sec("compute");
+    b.begin_task("t").u(2'500).l(1, 100).end_task().repeat_last(24);
+    tree::SectionCounters k;
+    k.instructions = 90'000;
+    k.cycles = 62'400;
+    k.llc_misses = 40;
+    b.counters(k).end_sec();
+    tree::ProgramTree t = b.finish();
+
+    reuse::ReuseHistogram h;
+    h.config = reuse::ProfiledConfig{};
+    h.cold = 2'000;
+    for (int i = 0; i < 4'000; ++i) h.record(i % 4 == 0 ? 64 : 400'000);
+    t.root->child(1)->set_reuse_profile(h);
+    std::ofstream f(path);
+    tree::write_tree(f, t);
+  }
+  const struct {
+    std::vector<std::string> args;
+    std::uint64_t digest;
+  } kCases[] = {
+      {{"sweep", "--memory-model", "--csv", "-"}, 8438061290235155658ULL},
+      {{"sweep", "--machines", "westmere,epyc", "--memory-model", "--csv", "-"},
+       12462776813968605452ULL},
+      {{"predict", "--machine", "skylake", "--memory-model", "--csv", "-"},
+       1161874987777851685ULL},
+      {{"advise", "--memory-model"}, 1121994840201550687ULL},
+  };
+  for (const auto& c : kCases) {
+    std::vector<std::string> args = c.args;
+    args.insert(args.begin() + 1, {"--tree", path});
+    SCOPED_TRACE(args[0] + " " + args[3]);
+    ASSERT_EQ(run_cmd(args), 0) << err_.str();
+    EXPECT_EQ(util::fnv64(out_.str()), c.digest) << out_.str();
+  }
+  // The goldens see the memory model: the memory-bound section prices
+  // differently with it off.
+  ASSERT_EQ(run_cmd({"sweep", "--tree", path, "--memory-model", "--csv", "-"}),
+            0);
+  const std::string on = out_.str();
+  ASSERT_EQ(run_cmd({"sweep", "--tree", path, "--csv", "-"}), 0);
+  EXPECT_NE(out_.str(), on);
+  std::remove(path.c_str());
 }
 
 TEST_F(MachinesCliTest, BadMachinesListRejectedAtParse) {

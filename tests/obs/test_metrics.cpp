@@ -105,7 +105,9 @@ TEST_F(MetricsTest, DisabledGuardSkipsConvenienceHelpers) {
   // Nothing was registered while disabled: the names are absent (or zero if
   // an earlier test registered them through the global registry).
   for (const auto& [name, v] : reg.snapshot().counters) {
-    if (name == "gating.counter") EXPECT_EQ(v, 0u);
+    if (name == "gating.counter") {
+      EXPECT_EQ(v, 0u);
+    }
   }
   count("gating.counter", 5);
   bool found = false;

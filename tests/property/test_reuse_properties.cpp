@@ -189,7 +189,9 @@ TEST(ReuseTextProperty, RTokenRoundTripsThroughText) {
       const ReuseHistogram* want = t.root->child(i)->reuse_profile();
       const ReuseHistogram* got = back.root->child(i)->reuse_profile();
       ASSERT_EQ(want == nullptr, got == nullptr) << "top " << i;
-      if (want != nullptr) EXPECT_EQ(*got, *want) << "top " << i;
+      if (want != nullptr) {
+        EXPECT_EQ(*got, *want) << "top " << i;
+      }
     }
   }
 }

@@ -90,7 +90,9 @@ TEST(Guided, RespectsMinimumChunk) {
   auto s = make_scheduler(OmpSchedule::Guided, 40, 4, 8);
   while (auto r = s->next(1)) {
     // Every chunk except possibly the last is at least the minimum.
-    if (r->end < 40) EXPECT_GE(r->size(), 8u);
+    if (r->end < 40) {
+      EXPECT_GE(r->size(), 8u);
+    }
   }
 }
 

@@ -141,7 +141,7 @@ TEST(Protocol, LargeFrameStreamsThroughSocketBuffers) {
 }
 
 TEST(Protocol, Base64RoundTrip) {
-  for (const std::string s :
+  for (const std::string& s :
        {std::string(), std::string("f"), std::string("fo"), std::string("foo"),
         std::string("foob"), std::string("\x00\x01\xFE\xFF", 4)}) {
     EXPECT_EQ(base64_decode(base64_encode(s)), s) << "len=" << s.size();

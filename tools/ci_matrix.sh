@@ -33,6 +33,11 @@
 #     bit-identity golden and its popped-event budget. The event queue's
 #     lazy re-push keeps per-thread due-time bookkeeping, which a sanitizer
 #     should watch.
+#   - `ctest -L cli` — the pprophet front end: the flag table's range and
+#     strictness properties (every number through one std::from_chars
+#     parser), seeded random argv, the memory-model output goldens of the
+#     shared pricing step, and the client against an in-process daemon.
+#     Parsers of untrusted argv are what address and undefined catch.
 #
 # `thread` is also accepted (README documents the TSan + `-L concurrency`
 # combination) but is not in the default set: TSan roughly 10x-es the
@@ -107,6 +112,8 @@ for san in "${sans[@]}"; do
   ctest --test-dir "${bdir}" -L advisor -LE perf --output-on-failure
   echo "=== ${san}: des label ==="
   ctest --test-dir "${bdir}" -L des --output-on-failure
+  echo "=== ${san}: cli label ==="
+  ctest --test-dir "${bdir}" -L cli --output-on-failure
 done
 
 # The epoll reactor under real concurrency: both transports, dozens of

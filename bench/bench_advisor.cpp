@@ -6,8 +6,10 @@
 //      via tree::apply_edit and re-predicted from scratch, reproduce their
 //      advertised speedup_after within 1%;
 //   2. cost — the whole advisor (config sweep + profile + edit search)
-//      stays under 3x one un-memoized sweep of the configuration grid,
-//      which is what digest-salted per-section memoization buys.
+//      emulates fewer than 3x the sections one un-memoized sweep of the
+//      configuration grid does (grid points x sections), which is what
+//      digest-salted per-section memoization buys. The count is work, not
+//      wall time, so the gate holds on any host; the timings are printed.
 // Writes BENCH_advisor.json. PP_SMOKE=1 shrinks the grid for CI.
 #include <algorithm>
 #include <chrono>
@@ -19,6 +21,7 @@
 
 #include "core/advise.hpp"
 #include "core/prophet.hpp"
+#include "obs/metrics.hpp"
 #include "report/experiment.hpp"
 #include "serve/json.hpp"
 #include "tree/compile.hpp"
@@ -87,6 +90,18 @@ int main() {
     if (s == 0 || ms < advise_ms) advise_ms = ms;
   }
 
+  // The advisor's section emulations: every predict_section_cycles call,
+  // the baseline predict() included (Advice::stats counts only memo misses).
+  // Counted on one extra run so the timed runs stay uninstrumented.
+  obs::Timer& syn_sections =
+      obs::MetricsRegistry::global().timer("predict.section_cycles.SYN");
+  const bool obs_was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  syn_sections.reset();
+  (void)core::advise(compiled, ao);
+  const std::uint64_t advise_sections = syn_sections.stat().count;
+  obs::set_enabled(obs_was_enabled);
+
   // Reference: one sweep of the same configuration grid with no memo —
   // every point priced by a fresh core::predict over the compiled arrays.
   // (Cilk's scheduler is not configurable, so it collapses to one schedule
@@ -144,14 +159,23 @@ int main() {
           : static_cast<double>(advice.stats.cache_hits) /
                 static_cast<double>(advice.stats.section_lookups);
   const double sweeps_equiv = unmemo_ms > 0.0 ? advise_ms / unmemo_ms : 0.0;
+  const std::uint64_t unmemo_sections = grid_points * compiled.section_count();
+  const double sections_equiv =
+      unmemo_sections == 0 ? 0.0
+                           : static_cast<double>(advise_sections) /
+                                 static_cast<double>(unmemo_sections);
 
   util::Table table({"stage", "wall ms", "notes"});
   table.add_row({"advise (sweep+profile+edits)", util::fmt_f(advise_ms, 2),
                  std::to_string(advice.actions.size()) + " actions"});
   table.add_row({"un-memoized config sweep", util::fmt_f(unmemo_ms, 2),
-                 std::to_string(grid_points) + " points"});
-  table.add_row({"advisor cost in sweeps", util::fmt_f(sweeps_equiv, 2),
-                 "gate: < 3"});
+                 std::to_string(grid_points) + " points x " +
+                     std::to_string(compiled.section_count()) + " sections"});
+  table.add_row({"advisor wall time in sweeps", util::fmt_f(sweeps_equiv, 2),
+                 ""});
+  table.add_row({"advisor sections in sweeps", util::fmt_f(sections_equiv, 2),
+                 std::to_string(advise_sections) + " / " +
+                     std::to_string(unmemo_sections) + ", gate: < 3"});
   table.add_row({"memo hit rate", util::fmt_pct(hit_rate),
                  std::to_string(advice.stats.section_evals) + " evals / " +
                      std::to_string(advice.stats.section_lookups) +
@@ -173,6 +197,8 @@ int main() {
   out.set("advise_ms", serve::JsonValue(advise_ms));
   out.set("unmemoized_sweep_ms", serve::JsonValue(unmemo_ms));
   out.set("advise_cost_in_sweeps", serve::JsonValue(sweeps_equiv));
+  out.set("advise_section_emulations", serve::JsonValue(advise_sections));
+  out.set("unmemoized_section_emulations", serve::JsonValue(unmemo_sections));
   out.set("memo_hit_rate", serve::JsonValue(hit_rate));
   out.set("section_lookups", serve::JsonValue(static_cast<std::uint64_t>(
                                  advice.stats.section_lookups)));
@@ -192,10 +218,10 @@ int main() {
               << " of the top actions missed their promised speedup by >1%\n";
     return 1;
   }
-  if (sweeps_equiv >= 3.0) {
-    std::cerr << "FAIL: advisor cost " << sweeps_equiv
-              << " un-memoized sweeps (gate: < 3) — the edit-search memo "
-              << "has regressed\n";
+  if (advise_sections >= 3 * unmemo_sections) {
+    std::cerr << "FAIL: advisor emulated " << advise_sections
+              << " sections, not fewer than 3 un-memoized sweeps' "
+              << unmemo_sections << " — the edit-search memo has regressed\n";
     return 1;
   }
   return 0;

@@ -23,11 +23,12 @@ struct Machine::SimThread {
   std::uint64_t generation = 0;  // invalidates OpComplete events
 
   bool has_op = false;  // true while an Exec op is in flight
-  bool scheduled = false;  // a live OpComplete for `op` is queued at `due`
   Op op;
+  // Remaining cycles of `op` at `resume_time`, the start of its current
+  // segment. Compute stays integral until a memory share rescales it.
   double remaining_compute = 0.0;
   double remaining_mem = 0.0;
-  Cycles resume_time = 0;  // last time progress was accounted
+  Cycles resume_time = 0;
 
   std::uint32_t core = ~0u;   // valid while Running
   Cycles running_since = 0;    // dispatch time of the current run span
@@ -35,14 +36,15 @@ struct Machine::SimThread {
   WaitHandle exit_evt = 0;
   Cycles blocked_since = 0;
   bool blocked_on_lock = false;
-  Cycles due = 0;  // time of the live OpComplete while `scheduled`
 };
 
 struct Machine::Core {
   ThreadId running = kNoThread;
+  std::uint32_t next_push = ~0u;  // next core in the push list
   std::uint64_t generation = 0;  // invalidates QuantumCheck events
   Cycles dispatched_at = 0;
   bool quantum_pending = false;
+  bool push_listed = false;  // on the push list until push_completions
 };
 
 struct Machine::WaitObject {
@@ -59,9 +61,12 @@ struct Machine::Mutex {
 
 Machine::Machine(const MachineConfig& cfg) : cfg_(cfg), bw_(cfg.bandwidth) {
   // One SimThread is allocated per simulated thread, and profiles read host
-  // heap addresses: up to 152 bytes it stays in the same 160-byte malloc
-  // chunk, so the machine's heap footprint (and pred_err_pct) is unchanged.
-  static_assert(sizeof(SimThread) <= 152, "SimThread size changes heap layout");
+  // heap addresses: from 137 to 152 bytes it stays in the same 160-byte
+  // malloc chunk, so the machine's heap footprint (and pred_err_pct) is
+  // unchanged. The same holds for the cores_ array.
+  static_assert(sizeof(SimThread) > 136 && sizeof(SimThread) <= 152,
+                "SimThread size changes heap layout");
+  static_assert(sizeof(Core) == 32, "Core size changes heap layout");
   if (cfg_.cores == 0) throw std::invalid_argument("machine needs >= 1 core");
   cores_.resize(cfg_.cores);
 }
@@ -75,7 +80,6 @@ ThreadId Machine::spawn_thread(std::unique_ptr<ThreadBody> body) {
   t->id = tid;
   t->body = std::move(body);
   t->exit_evt = make_event();
-  t->resume_time = now_;
   threads_.push_back(std::move(t));
   ++stats_.spawned_threads;
   make_ready(tid);
@@ -105,42 +109,65 @@ double Machine::current_demand() const {
   return demand;
 }
 
-void Machine::advance_running_progress() {
-  for (Core& c : cores_) {
-    if (c.running == kNoThread) continue;
-    SimThread& t = *threads_[c.running];
-    if (!t.has_op) continue;
-    const Cycles dt = now_ - t.resume_time;
-    t.resume_time = now_;
-    if (dt == 0) continue;
-    stats_.total_busy += dt;
-    const double f = cached_dilation_;
-    const double total = t.remaining_compute + f * t.remaining_mem;
-    if (total <= 0.0) continue;
-    const double q = std::min(1.0, static_cast<double>(dt) / total);
-    t.remaining_compute *= (1.0 - q);
-    t.remaining_mem *= (1.0 - q);
-  }
+void Machine::start_segment(SimThread& t) {
+  t.resume_time = now_;
+  if (t.op.traffic_mbps != 0.0) ++traffic_ops_;
+  list_push(t.core);
 }
 
-void Machine::update_contention_and_reschedule() {
-  const double dilation = bw_.dilation(current_demand());
-  const bool dilation_changed = dilation != cached_dilation_;
-  cached_dilation_ = dilation;
-  for (std::uint32_t i = 0; i < cores_.size(); ++i) {
-    const Core& c = cores_[i];
-    if (c.running == kNoThread) continue;
+void Machine::advance(SimThread& t) {
+  const Cycles dt = now_ - t.resume_time;
+  t.resume_time = now_;
+  if (dt == 0) return;
+  stats_.total_busy += dt;
+  if (t.remaining_mem == 0.0) {
+    // Compute-only: an integer minus an integer, exact below 2^53.
+    assert(static_cast<double>(dt) <= t.remaining_compute);
+    t.remaining_compute -= static_cast<double>(dt);
+    return;
+  }
+  const double total = t.remaining_compute + dilation_ * t.remaining_mem;
+  const double q = std::min(1.0, static_cast<double>(dt) / total);
+  t.remaining_compute *= (1.0 - q);
+  t.remaining_mem *= (1.0 - q);
+}
+
+void Machine::list_push(std::uint32_t core_idx) {
+  Core& c = cores_[core_idx];
+  if (c.push_listed) return;
+  c.push_listed = true;
+  c.next_push = push_head_;
+  push_head_ = core_idx;
+}
+
+void Machine::push_completions() {
+  const double dilation =
+      traffic_ops_ == 0 ? 1.0 : bw_.dilation(current_demand());
+  if (dilation != dilation_) {
+    // Close every memory-bound segment at the old dilation and start a new
+    // one; compute-only completions stand (see the header comment).
+    for (std::uint32_t i = 0; i < cores_.size(); ++i) {
+      const Core& c = cores_[i];
+      if (c.running == kNoThread) continue;
+      SimThread& t = *threads_[c.running];
+      if (t.remaining_mem == 0.0) continue;
+      advance(t);
+      list_push(i);
+    }
+    dilation_ = dilation;
+  }
+  while (push_head_ != ~0u) {
+    const std::uint32_t i = push_head_;
+    Core& c = cores_[i];
+    push_head_ = c.next_push;
+    c.push_listed = false;
     SimThread& t = *threads_[c.running];
-    if (!t.has_op) continue;
-    const double remaining =
-        t.remaining_compute + cached_dilation_ * t.remaining_mem;
-    const Cycles due = now_ + static_cast<Cycles>(std::ceil(remaining));
-    // The queued completion already fires at `due`; see the header comment.
-    if (!dilation_changed && t.scheduled && t.due == due) continue;
+    assert(t.has_op && t.resume_time == now_);
+    const Cycles due =
+        now_ + static_cast<Cycles>(std::ceil(t.remaining_compute +
+                                             dilation_ * t.remaining_mem));
     ++t.generation;
     ++stats_.reschedules;
-    t.scheduled = true;
-    t.due = due;
     queue_.push(Event{due, i, Event::Kind::OpComplete, t.id, t.generation});
   }
 }
@@ -190,7 +217,6 @@ void Machine::dispatch(std::uint32_t core_idx) {
   assert(t.state == SimThread::State::Ready);
   t.state = SimThread::State::Running;
   t.core = core_idx;
-  t.resume_time = now_;
   t.running_since = now_;
   core.running = tid;
   core.dispatched_at = now_;
@@ -204,7 +230,9 @@ void Machine::dispatch(std::uint32_t core_idx) {
     ++stats_.context_switches;
   }
   if (!ready_.empty()) schedule_quantum_checks();
-  if (!t.has_op) {
+  if (t.has_op) {
+    start_segment(t);
+  } else {
     // Fresh thread or one that was blocked on a zero-time op: pull work.
     fetch_and_process_ops(tid);
   }
@@ -220,7 +248,6 @@ void Machine::block_current(SimThread& t) {
   t.blocked_since = now_;
   t.core = ~0u;
   ++t.generation;  // kill any in-flight completion event
-  t.scheduled = false;
   cores_[core_idx].running = kNoThread;
   ++cores_[core_idx].generation;
   dispatch(core_idx);
@@ -236,7 +263,6 @@ void Machine::finish_thread(ThreadId tid) {
   t.state = SimThread::State::Exited;
   t.core = ~0u;
   ++t.generation;
-  t.scheduled = false;
   cores_[core_idx].running = kNoThread;
   ++cores_[core_idx].generation;
   // Notify joiners.
@@ -261,10 +287,10 @@ void Machine::fetch_and_process_ops(ThreadId tid) {
       t.op = *op;
       if (t.op.kind == Op::Kind::Exec) {
         t.has_op = true;
-        t.remaining_compute += static_cast<double>(t.op.compute);
+        t.remaining_compute = static_cast<double>(t.op.compute);
         t.remaining_mem = static_cast<double>(t.op.mem);
-        t.resume_time = now_;
-        return;  // the op now runs; completion is scheduled by caller
+        start_segment(t);
+        return;  // the op now runs; push_completions queues its completion
       }
     }
     // Zero-time control ops.
@@ -327,14 +353,16 @@ void Machine::preempt(std::uint32_t core_idx) {
   const ThreadId tid = core.running;
   assert(tid != kNoThread);
   SimThread& t = *threads_[tid];
+  assert(t.has_op);
   if (timeline_ != nullptr) {
     timeline_->record(t.id, t.running_since, now_, TimelineSpan::Kind::Run);
   }
+  advance(t);
+  if (t.op.traffic_mbps != 0.0) --traffic_ops_;
   t.state = SimThread::State::Ready;
   t.was_preempted = true;
   t.core = ~0u;
   ++t.generation;
-  t.scheduled = false;
   core.running = kNoThread;
   ++core.generation;
   ready_.push_back(tid);
@@ -344,8 +372,9 @@ void Machine::preempt(std::uint32_t core_idx) {
 
 void Machine::on_op_complete(ThreadId tid) {
   SimThread& t = *threads_[tid];
+  stats_.total_busy += now_ - t.resume_time;
+  if (t.op.traffic_mbps != 0.0) --traffic_ops_;
   t.has_op = false;
-  t.scheduled = false;
   t.remaining_compute = 0.0;
   t.remaining_mem = 0.0;
   fetch_and_process_ops(tid);
@@ -354,7 +383,7 @@ void Machine::on_op_complete(ThreadId tid) {
 MachineStats Machine::run() {
   if (ran_) throw std::logic_error("Machine::run may only be called once");
   ran_ = true;
-  update_contention_and_reschedule();
+  push_completions();  // threads spawned before run()
   while (!queue_.empty()) {
     const Event e = queue_.top();
     queue_.pop();
@@ -369,9 +398,7 @@ MachineStats Machine::run() {
           continue;
         }
         now_ = e.time;
-        advance_running_progress();
         on_op_complete(e.target);
-        update_contention_and_reschedule();
         break;
       }
       case Event::Kind::QuantumCheck: {
@@ -384,12 +411,11 @@ MachineStats Machine::run() {
         if (core.running == kNoThread) continue;
         if (ready_.empty()) continue;  // nothing waiting; keep running
         now_ = e.time;
-        advance_running_progress();
         preempt(e.target);
-        update_contention_and_reschedule();
         break;
       }
     }
+    push_completions();
   }
   stats_.finish_time = now_;
   for (const auto& t : threads_) {

@@ -21,23 +21,30 @@
 // instantaneous control ops (runtime models add explicit Exec overhead ops
 // around them to charge costs).
 //
-// Event scheduling. After every processed event the machine recomputes the
-// bandwidth dilation and each running Exec op's due time,
-// now + ceil(remaining compute + dilation * remaining mem). A thread's
-// OpComplete is (re)pushed only when the dilation changed at this event
-// (then every running op is re-pushed), when the thread has no live
-// completion, or when its due time differs from the one already queued.
-// Otherwise the queued event stands: it carries exactly the time a re-push
-// would give it. Each push bumps the thread's generation, which turns its
-// previous event stale. Skipping after a dilation change would be exact
-// too, but it changes how the queue grows, and profiles read host heap
-// addresses, so the full re-push stays there.
+// Event scheduling. A running Exec op is accounted in segments. A segment
+// starts when the op starts, when its thread is dispatched with it in
+// flight, or when the bandwidth dilation changes; the thread then holds its
+// remaining compute and memory cycles and the segment's start time. Within a
+// segment progress is linear, so the op is due at
+// start + ceil(compute + dilation * mem) and no later event touches it. A
+// segment ends when the op completes, when its thread is preempted, or when
+// the dilation changes: a compute-only op then advances by integer
+// subtraction (exact, so completions never drift), an op with a memory share
+// is rescaled by the elapsed fraction of its remaining time.
+//
+// After each processed event the machine pushes one OpComplete per core whose
+// thread started a segment during the event (an intrusive list threaded
+// through Core). Demand is summed only while some running op declares DRAM
+// traffic; otherwise it is 0 and the dilation 1. When the dilation changes,
+// every op with a memory share starts a new segment and is re-pushed;
+// compute-only completions stand, since their due time does not depend on
+// the dilation. Each push bumps the thread's generation, which turns its
+// previous event stale.
 //
 // Same-time ordering. Events pop by (time, QuantumCheck before OpComplete,
 // order), where `order` is the push order of a quantum check and the core
-// index of a completion. This is the order a full re-push after every event
-// gives (each re-push follows every live quantum check and walks the cores
-// by index), so skipping a re-push never reorders two live events.
+// index of a completion. A core holds at most one live completion, so live
+// events never tie.
 #pragma once
 
 #include <cstdint>
@@ -143,10 +150,9 @@ struct MachineStats {
   // DES work counters: what simulating cost, not what was simulated.
   std::uint64_t events = 0;        ///< events popped from the queue
   std::uint64_t stale_events = 0;  ///< popped events a newer one superseded
-  /// OpComplete events pushed by the contention update that follows every
-  /// processed event: for every running op when the dilation changed, else
-  /// only for a new op or one whose due time moved. Each supersedes the
-  /// thread's previous completion.
+  /// OpComplete events pushed after processed events: one per segment start
+  /// (see the header comment). Each supersedes the thread's previous
+  /// completion.
   std::uint64_t reschedules = 0;
 };
 
@@ -218,8 +224,10 @@ class Machine {
   void make_ready(ThreadId tid);
   void dispatch(std::uint32_t core_idx);
   void block_current(SimThread& t);
-  void advance_running_progress();
-  void update_contention_and_reschedule();
+  void start_segment(SimThread& t);
+  void advance(SimThread& t);
+  void list_push(std::uint32_t core_idx);
+  void push_completions();
   void fetch_and_process_ops(ThreadId tid);
   void finish_thread(ThreadId tid);
   void preempt(std::uint32_t core_idx);
@@ -241,7 +249,9 @@ class Machine {
   std::priority_queue<Event, std::vector<Event>, EventCmp> queue_;
 
   MachineStats stats_;
-  double cached_dilation_ = 1.0;
+  double dilation_ = 1.0;  // dilation of every running segment
+  std::uint32_t traffic_ops_ = 0;  // running ops with nonzero traffic_mbps
+  std::uint32_t push_head_ = ~0u;  // cores awaiting a completion push
   class Timeline* timeline_ = nullptr;
 };
 

@@ -106,10 +106,9 @@ TEST(Timeline, ExecutorRunsRecordFigure5Shape) {
       tree::CompiledTree::compile(t), mcfg, ocfg, mode);
   EXPECT_EQ(r.elapsed, 1150u);
   // Master (thread 0) ran I0+I2 = 900 work; worker (thread 1) ran I1 = 600.
-  // (±2 cycles of event-rounding slack at span boundaries.)
-  EXPECT_NEAR(static_cast<double>(tl.busy(0)), 900.0, 2.0);
-  EXPECT_NEAR(static_cast<double>(tl.busy(1)), 600.0, 2.0);
-  EXPECT_NEAR(static_cast<double>(tl.lock_wait(0)), 250.0, 2.0);
+  EXPECT_EQ(tl.busy(0), 900u);
+  EXPECT_EQ(tl.busy(1), 600u);
+  EXPECT_EQ(tl.lock_wait(0), 250u);
   EXPECT_EQ(tl.lock_wait(1), 0u);
 }
 

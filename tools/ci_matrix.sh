@@ -29,9 +29,12 @@
 #     compiled-vs-pointer edit differentials, the Advice API, and the
 #     action-soundness property suite.
 #   - `ctest -L des` — the discrete-event machine and the OpenMP/Cilk
-#     executors on it: hand-derived schedules and work counts, the DES
-#     bit-identity golden and its popped-event budget. The event queue's
-#     lazy re-push keeps per-thread due-time bookkeeping, which a sanitizer
+#     executors on it: hand-derived schedules and work counts, exact
+#     progress (tests/machine/test_exact_progress.cpp, with the seeded
+#     property over random compute-only scripts), the DES bit-identity
+#     golden and its popped-event budget. Per-thread segment state and an
+#     intrusive push list threaded through the cores replace per-event
+#     due-time bookkeeping; that index-linked list is what a sanitizer
 #     should watch.
 #   - `ctest -L cli` — the pprophet front end: the flag table's range and
 #     strictness properties (every number through one std::from_chars

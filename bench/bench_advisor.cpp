@@ -1,19 +1,22 @@
-// Advisor performance + soundness gate: runs the full what-if search
-// (core::advise) over a Figure-12-scale workload tree and prices the same
-// configuration grid un-memoized for reference. Two contracts gate the exit
-// code (so this doubles as a ctest under the perf label):
+// Advisor soundness + memo gate: runs the full what-if search (core::advise)
+// over a Figure-12-scale workload tree. Three contracts gate the exit code
+// (so this doubles as a ctest under the perf label):
 //   1. soundness — the top-3 edit actions, re-applied to the source tree
 //      via tree::apply_edit and re-predicted from scratch, reproduce their
 //      advertised speedup_after within 1%;
 //   2. cost — the whole advisor (config sweep + profile + edit search)
 //      emulates fewer than 3x the sections one un-memoized sweep of the
 //      configuration grid does (grid points x sections), which is what
-//      digest-salted per-section memoization buys. The count is work, not
-//      wall time, so the gate holds on any host; the timings are printed.
-// Writes BENCH_advisor.json. PP_SMOKE=1 shrinks the grid for CI.
+//      digest-salted per-section memoization buys;
+//   3. memo — the edit search (advise's stats minus those of the
+//      configuration sweep alone, core::advise_configurations) hits its
+//      memo, and emulates at most half the sections it looks up: an edit
+//      salts one section's digest, so every other section must re-price
+//      from the memo. Gate 2 alone would pass with a memo that never hits.
+// Every gate is a count or an exact comparison, so it holds on any host;
+// the advisor's timings live in perfbench (`whatif`, core.advise_ms).
 #include <algorithm>
-#include <chrono>
-#include <fstream>
+#include <cmath>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -23,47 +26,29 @@
 #include "core/prophet.hpp"
 #include "obs/metrics.hpp"
 #include "report/experiment.hpp"
-#include "serve/json.hpp"
 #include "tree/compile.hpp"
 #include "tree/compress.hpp"
 #include "tree/edit.hpp"
-#include "util/env.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "workloads/test_patterns.hpp"
 
 using namespace pprophet;
 
-namespace {
-
-double ms_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-}  // namespace
-
 int main() {
-  const long seed = util::env_long("PP_SEED", 2012);
-  const bool smoke = util::env_long("PP_SMOKE", 0) != 0;
-  const long samples = util::env_long("PP_SAMPLES", smoke ? 1 : 3);
-  report::print_header(
-      std::cout, "What-if advisor — edit search vs un-memoized sweeps "
-                 "(PP_SEED=" + std::to_string(seed) + ", best of " +
-                 std::to_string(samples) + " runs)" +
-                 (smoke ? " [smoke]" : ""));
+  report::print_header(std::cout,
+                       "What-if advisor — soundness and memoized edit search "
+                       "(seed 2012)");
 
-  // A multi-phase program: several Test1/Test2 instances (the paper's
+  // A multi-phase program: six Test1/Test2 instances (the paper's
   // validation workloads) spliced under one root, like a real application
   // with distinct parallel phases. Multi-section is the advisor's working
   // regime — an edit salts one section's digest and every other section
   // re-prices from the memo.
-  util::Xoshiro256 rng(static_cast<std::uint64_t>(seed));
+  util::Xoshiro256 rng(2012);
   tree::ProgramTree t;
   t.root = std::make_unique<tree::Node>(tree::NodeKind::Root, "");
-  const long phases = util::env_long("PP_PHASES", smoke ? 3 : 6);
-  for (long i = 0; i < phases; ++i) {
+  for (int i = 0; i < 6; ++i) {
     tree::ProgramTree phase =
         i % 2 == 0 ? workloads::run_test1(workloads::random_test1(rng))
                    : workloads::run_test2(workloads::random_test2(rng));
@@ -76,58 +61,43 @@ int main() {
 
   core::AdviseOptions ao;
   ao.base = report::paper_options(core::Method::Synthesizer);
-  ao.grid.thread_counts =
-      smoke ? std::vector<CoreCount>{2, 4, 8} : report::paper_core_counts();
+  ao.grid.thread_counts = report::paper_core_counts();
   ao.grid.chunks.clear();
-  ao.sweep.workers = 1;  // pure per-eval cost; no pool parallelism
-
-  core::Advice advice;
-  double advise_ms = 0.0;
-  for (long s = 0; s < samples; ++s) {
-    const auto t0 = std::chrono::steady_clock::now();
-    advice = core::advise(compiled, ao);
-    const double ms = ms_since(t0);
-    if (s == 0 || ms < advise_ms) advise_ms = ms;
-  }
+  ao.sweep.workers = 1;
 
   // The advisor's section emulations: every predict_section_cycles call,
   // the baseline predict() included (Advice::stats counts only memo misses).
-  // Counted on one extra run so the timed runs stay uninstrumented.
   obs::Timer& syn_sections =
       obs::MetricsRegistry::global().timer("predict.section_cycles.SYN");
   const bool obs_was_enabled = obs::enabled();
   obs::set_enabled(true);
   syn_sections.reset();
-  (void)core::advise(compiled, ao);
+  const core::Advice advice = core::advise(compiled, ao);
   const std::uint64_t advise_sections = syn_sections.stat().count;
   obs::set_enabled(obs_was_enabled);
 
-  // Reference: one sweep of the same configuration grid with no memo —
-  // every point priced by a fresh core::predict over the compiled arrays.
-  // (Cilk's scheduler is not configurable, so it collapses to one schedule
-  // per thread count, exactly as the advisor enumerates.)
+  // One sweep of the same configuration grid with no memo prices every
+  // point's every section. (Cilk's scheduler is not configurable, so it
+  // collapses to one schedule per thread count, exactly as the advisor
+  // enumerates.)
   std::size_t grid_points = 0;
-  double unmemo_ms = 0.0;
-  for (long s = 0; s < samples; ++s) {
-    grid_points = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (const core::Paradigm p : ao.grid.paradigms) {
-      const std::size_t nsched =
-          p == core::Paradigm::CilkPlus ? 1 : ao.grid.schedules.size();
-      for (std::size_t i = 0; i < nsched; ++i) {
-        for (const CoreCount threads : ao.grid.thread_counts) {
-          core::PredictOptions o = ao.base;
-          o.method = core::Method::Synthesizer;
-          o.paradigm = p;
-          o.schedule = ao.grid.schedules[i];
-          (void)core::predict(compiled, threads, o);
-          ++grid_points;
-        }
-      }
-    }
-    const double ms = ms_since(t0);
-    if (s == 0 || ms < unmemo_ms) unmemo_ms = ms;
+  for (const core::Paradigm p : ao.grid.paradigms) {
+    const std::size_t nsched =
+        p == core::Paradigm::CilkPlus ? 1 : ao.grid.schedules.size();
+    grid_points += nsched * ao.grid.thread_counts.size();
   }
+  const std::uint64_t unmemo_sections = grid_points * compiled.section_count();
+
+  // The edit search's own memo traffic: everything the full advisor looked
+  // up beyond its configuration sweep.
+  const core::SweepStats config_stats =
+      core::advise_configurations(compiled, ao).stats;
+  const std::size_t edit_lookups =
+      advice.stats.section_lookups - config_stats.section_lookups;
+  const std::size_t edit_hits =
+      advice.stats.cache_hits - config_stats.cache_hits;
+  const std::size_t edit_evals =
+      advice.stats.section_evals - config_stats.section_evals;
 
   // Soundness self-check: top-3 edit actions re-applied and re-predicted.
   std::size_t checked = 0;
@@ -153,65 +123,26 @@ int main() {
     ++checked;
   }
 
-  const double hit_rate =
-      advice.stats.section_lookups == 0
-          ? 0.0
-          : static_cast<double>(advice.stats.cache_hits) /
-                static_cast<double>(advice.stats.section_lookups);
-  const double sweeps_equiv = unmemo_ms > 0.0 ? advise_ms / unmemo_ms : 0.0;
-  const std::uint64_t unmemo_sections = grid_points * compiled.section_count();
-  const double sections_equiv =
-      unmemo_sections == 0 ? 0.0
-                           : static_cast<double>(advise_sections) /
-                                 static_cast<double>(unmemo_sections);
-
-  util::Table table({"stage", "wall ms", "notes"});
-  table.add_row({"advise (sweep+profile+edits)", util::fmt_f(advise_ms, 2),
-                 std::to_string(advice.actions.size()) + " actions"});
-  table.add_row({"un-memoized config sweep", util::fmt_f(unmemo_ms, 2),
-                 std::to_string(grid_points) + " points x " +
-                     std::to_string(compiled.section_count()) + " sections"});
-  table.add_row({"advisor wall time in sweeps", util::fmt_f(sweeps_equiv, 2),
+  util::Table table({"count", "value", "gate"});
+  table.add_row({"actions", std::to_string(advice.actions.size()), ""});
+  table.add_row({"advisor section emulations",
+                 std::to_string(advise_sections),
+                 "< 3 x " + std::to_string(unmemo_sections) + " (" +
+                     std::to_string(grid_points) + " points x " +
+                     std::to_string(compiled.section_count()) +
+                     " sections)"});
+  table.add_row({"config sweep evals / lookups",
+                 std::to_string(config_stats.section_evals) + " / " +
+                     std::to_string(config_stats.section_lookups),
                  ""});
-  table.add_row({"advisor sections in sweeps", util::fmt_f(sections_equiv, 2),
-                 std::to_string(advise_sections) + " / " +
-                     std::to_string(unmemo_sections) + ", gate: < 3"});
-  table.add_row({"memo hit rate", util::fmt_pct(hit_rate),
-                 std::to_string(advice.stats.section_evals) + " evals / " +
-                     std::to_string(advice.stats.section_lookups) +
-                     " lookups"});
+  table.add_row({"edit search evals / lookups",
+                 std::to_string(edit_evals) + " / " +
+                     std::to_string(edit_lookups),
+                 "evals <= lookups / 2"});
+  table.add_row({"edit search memo hits", std::to_string(edit_hits), "> 0"});
   table.print(std::cout);
   std::cout << "soundness: " << checked << " top actions re-checked, worst "
             << "relative error " << util::fmt_pct(worst_rel_err) << "\n";
-
-  serve::JsonValue out;
-  out.set("bench", serve::JsonValue("advisor"));
-  out.set("seed", serve::JsonValue(static_cast<std::int64_t>(seed)));
-  out.set("samples", serve::JsonValue(static_cast<std::int64_t>(samples)));
-  out.set("tree_nodes",
-          serve::JsonValue(static_cast<std::uint64_t>(t.node_count())));
-  out.set("grid_points",
-          serve::JsonValue(static_cast<std::uint64_t>(grid_points)));
-  out.set("actions",
-          serve::JsonValue(static_cast<std::uint64_t>(advice.actions.size())));
-  out.set("advise_ms", serve::JsonValue(advise_ms));
-  out.set("unmemoized_sweep_ms", serve::JsonValue(unmemo_ms));
-  out.set("advise_cost_in_sweeps", serve::JsonValue(sweeps_equiv));
-  out.set("advise_section_emulations", serve::JsonValue(advise_sections));
-  out.set("unmemoized_section_emulations", serve::JsonValue(unmemo_sections));
-  out.set("memo_hit_rate", serve::JsonValue(hit_rate));
-  out.set("section_lookups", serve::JsonValue(static_cast<std::uint64_t>(
-                                 advice.stats.section_lookups)));
-  out.set("section_evals", serve::JsonValue(static_cast<std::uint64_t>(
-                               advice.stats.section_evals)));
-  out.set("soundness_checked",
-          serve::JsonValue(static_cast<std::uint64_t>(checked)));
-  out.set("soundness_worst_rel_err", serve::JsonValue(worst_rel_err));
-  out.set("sound", serve::JsonValue(violations == 0));
-  std::ofstream f("BENCH_advisor.json");
-  f << serve::json_dump(out) << "\n";
-  f.close();
-  std::cout << "wrote BENCH_advisor.json\n";
 
   if (violations > 0) {
     std::cerr << "FAIL: " << violations
@@ -222,6 +153,13 @@ int main() {
     std::cerr << "FAIL: advisor emulated " << advise_sections
               << " sections, not fewer than 3 un-memoized sweeps' "
               << unmemo_sections << " — the edit-search memo has regressed\n";
+    return 1;
+  }
+  if (edit_hits == 0 || 2 * edit_evals > edit_lookups) {
+    std::cerr << "FAIL: the edit search emulated " << edit_evals << " of "
+              << edit_lookups << " section lookups (" << edit_hits
+              << " memo hits) — unedited sections no longer re-price from "
+                 "the memo\n";
     return 1;
   }
   return 0;

@@ -1,21 +1,16 @@
-// Reuse-distance memory model benchmark (docs/MEMMODEL.md): profile a
-// kernel ONCE with the reuse collector, then price it on every machine
-// preset two ways — the analytical miss model (reuse/miss_model.hpp) vs a
-// full cache-simulation replay per preset. Reports, per preset, the
-// model-vs-simulation MPI error, and the cost of the single collected pass
+// Reuse-distance memory model gate (docs/MEMMODEL.md): profile a kernel
+// ONCE with the reuse collector, then price it on every machine preset two
+// ways — the analytical miss model (reuse/miss_model.hpp) vs a full
+// cache-simulation replay per preset. Reports, per preset, the
+// model-vs-simulation MPI error, and the work of the single collected pass
 // (+ projections) against N replay passes. Gates both contracts in-process
 // (≤10% relative MPI error on at least 3 of the 5 presets, ≥2x less work)
 // and exits nonzero on violation, so it doubles as a ctest (labels: perf,
 // reuse). The cost gate counts work, not time, so it is exact on any host:
 // cache-simulator line lookups of the N replays against those of the one
 // profiled pass, plus the lines the reuse collector processed, plus the
-// histogram buckets the projections evaluated. Wall-clock timings are
-// reported for information only.
-// Writes BENCH_reuse.json. PP_SMOKE=1 shrinks the kernel; the gates still
-// run.
-#include <chrono>
+// histogram buckets the projections evaluated.
 #include <cmath>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -23,20 +18,12 @@
 #include "machine/presets.hpp"
 #include "report/experiment.hpp"
 #include "reuse/miss_model.hpp"
-#include "serve/json.hpp"
-#include "util/env.hpp"
 #include "util/table.hpp"
 #include "workloads/ompscr.hpp"
 
 using namespace pprophet;
 
 namespace {
-
-double ms_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 struct Mpi {
   std::uint64_t instructions = 0;
@@ -83,82 +70,49 @@ std::uint64_t buckets_evaluated(const tree::ProgramTree& t,
 }  // namespace
 
 int main() {
-  const bool smoke = util::env_long("PP_SMOKE", 0) != 0;
-  // Min-of-N for both the profiled pass and every replay: the cost
-  // contract compares steady-state work, not scheduler noise.
-  const long samples = util::env_long("PP_SAMPLES", 3);
   // Every preset runs a 64x-scaled hierarchy (MachinePreset::scaled_cache),
   // preserving each preset's footprint:LLC ratio at a feasible kernel size.
   const unsigned kShift = 6;
   workloads::JacobiParams params;
-  params.n = smoke ? 96 : 160;
-  params.sweeps = smoke ? 3 : 4;
+  params.n = 160;
+  params.sweeps = 4;
   report::print_header(
       std::cout,
       "Reuse-distance model — one profiling pass vs per-machine replay "
-      "(jacobi n=" + std::to_string(params.n) + ")" + (smoke ? " [smoke]" : ""));
+      "(jacobi n=" + std::to_string(params.n) + ")");
 
   const auto& presets = machine::machine_presets();
   const machine::MachinePreset& home = presets.front();  // westmere
 
-  // Untimed warm-up: the profiled pass runs first in-process and would
-  // otherwise pay the allocator/page-fault cold start that the later
-  // replay passes never see.
-  {
-    workloads::KernelConfig warm;
-    warm.cache = home.scaled_cache(kShift);
-    (void)workloads::run_jacobi(params, warm);
-  }
-
   // One profiling pass on the home machine: cache simulation + reuse
   // collector in the same run.
-  double profile_ms = 0.0;
-  workloads::KernelRun profiled;
-  for (long s = 0; s < samples; ++s) {
-    workloads::KernelConfig cfg;
-    cfg.cache = home.scaled_cache(kShift);
-    cfg.cost.dram = home.cost.dram;
-    cfg.collect_reuse = true;
-    const auto t0 = std::chrono::steady_clock::now();
-    workloads::KernelRun run = workloads::run_jacobi(params, cfg);
-    const double ms = ms_since(t0);
-    if (s == 0 || ms < profile_ms) profile_ms = ms;
-    profiled = std::move(run);
-  }
+  workloads::KernelConfig pcfg;
+  pcfg.cache = home.scaled_cache(kShift);
+  pcfg.cost.dram = home.cost.dram;
+  pcfg.collect_reuse = true;
+  const workloads::KernelRun profiled = workloads::run_jacobi(params, pcfg);
 
   // The replay baseline: what predicting every machine WITHOUT the model
   // costs — one full cache-simulated run per preset.
-  util::Table table({"preset", "sim MPI", "model MPI", "rel err", "replay ms",
-                     "project ms"});
-  serve::JsonValue::Array rows;
-  double replay_total_ms = 0.0;
-  double project_total_ms = 0.0;
+  util::Table table({"preset", "sim MPI", "model MPI", "rel err",
+                     "replay lookups", "projected buckets"});
   std::uint64_t replay_accesses = 0;
   std::uint64_t projected_buckets = 0;
   std::size_t within_10pct = 0;
   for (const machine::MachinePreset& preset : presets) {
-    double replay_ms = 0.0;
-    Mpi sim;
-    for (long s = 0; s < samples; ++s) {
-      workloads::KernelConfig cfg;
-      cfg.cache = preset.scaled_cache(kShift);
-      cfg.cost.dram = preset.cost.dram;
-      const auto t0 = std::chrono::steady_clock::now();
-      const workloads::KernelRun run = workloads::run_jacobi(params, cfg);
-      const double ms = ms_since(t0);
-      if (s == 0 || ms < replay_ms) replay_ms = ms;
-      sim = section_mpi(run.tree);
-      if (s == 0) replay_accesses += run.cache_accesses;
-    }
-    replay_total_ms += replay_ms;
-    projected_buckets += buckets_evaluated(profiled.tree, preset, kShift);
+    workloads::KernelConfig cfg;
+    cfg.cache = preset.scaled_cache(kShift);
+    cfg.cost.dram = preset.cost.dram;
+    const workloads::KernelRun run = workloads::run_jacobi(params, cfg);
+    const Mpi sim = section_mpi(run.tree);
+    replay_accesses += run.cache_accesses;
+    const std::uint64_t buckets =
+        buckets_evaluated(profiled.tree, preset, kShift);
+    projected_buckets += buckets;
 
-    const auto t0 = std::chrono::steady_clock::now();
     tree::ProgramTree priced;
     priced.root = profiled.tree.root->clone();
     reuse::project_tree(priced, preset.scaled_cache(kShift), preset.cost.dram);
-    const double project_ms = ms_since(t0);
-    project_total_ms += project_ms;
     const Mpi model = section_mpi(priced);
 
     const double err = sim.value() > 0.0
@@ -167,17 +121,8 @@ int main() {
     if (err <= 0.10) ++within_10pct;
     table.add_row({preset.name, util::fmt_f(sim.value() * 1000.0, 3) + "e-3",
                    util::fmt_f(model.value() * 1000.0, 3) + "e-3",
-                   util::fmt_pct(err), util::fmt_f(replay_ms, 1),
-                   util::fmt_f(project_ms, 2)});
-    serve::JsonValue row;
-    row.set("preset", serve::JsonValue(preset.name));
-    row.set("sim_mpi", serve::JsonValue(sim.value()));
-    row.set("model_mpi", serve::JsonValue(model.value()));
-    row.set("rel_err", serve::JsonValue(err));
-    row.set("within_10pct", serve::JsonValue(err <= 0.10));
-    row.set("replay_ms", serve::JsonValue(replay_ms));
-    row.set("project_ms", serve::JsonValue(project_ms));
-    rows.push_back(std::move(row));
+                   util::fmt_pct(err), std::to_string(run.cache_accesses),
+                   std::to_string(buckets)});
   }
   table.print(std::cout);
 
@@ -199,15 +144,6 @@ int main() {
             << projected_buckets << " projected buckets vs " << presets.size()
             << " replays " << replay_accesses << " cache lookups: "
             << util::fmt_f(work_reduction, 2) << "x less work (gate: >= 2)\n";
-  // Timings, for information only (host noise makes them unfit to gate).
-  const double one_pass_ms = profile_ms + project_total_ms;
-  const double reduction =
-      one_pass_ms > 0.0 ? replay_total_ms / one_pass_ms : 0.0;
-  std::cout << "timing (info): one profiled pass "
-            << util::fmt_f(profile_ms, 1) << " ms + "
-            << util::fmt_f(project_total_ms, 2) << " ms of projections vs "
-            << presets.size() << " replays " << util::fmt_f(replay_total_ms, 1)
-            << " ms: " << util::fmt_f(reduction, 2) << "x cheaper\n";
   // Which presets sit in the well-modelled capacity regime (LLC clearly
   // below or clearly above the footprint) vs the conflict-dominated
   // mid-regime shifts with the kernel scale, so the gate counts presets
@@ -216,32 +152,6 @@ int main() {
   // regime-split contract at a fixed scale).
   std::cout << within_10pct << "/" << presets.size()
             << " presets within the 10% MPI tolerance (gate: >= 3)\n";
-
-  serve::JsonValue out;
-  out.set("bench", serve::JsonValue("memmodel_reuse"));
-  out.set("kernel", serve::JsonValue("jacobi"));
-  out.set("n", serve::JsonValue(static_cast<std::uint64_t>(params.n)));
-  out.set("sweeps", serve::JsonValue(static_cast<std::int64_t>(params.sweeps)));
-  out.set("cache_shift", serve::JsonValue(static_cast<std::uint64_t>(kShift)));
-  out.set("presets", serve::JsonValue(std::move(rows)));
-  out.set("profile_ms", serve::JsonValue(profile_ms));
-  out.set("project_total_ms", serve::JsonValue(project_total_ms));
-  out.set("replay_total_ms", serve::JsonValue(replay_total_ms));
-  out.set("cost_reduction", serve::JsonValue(reduction));
-  out.set("profile_cache_accesses", serve::JsonValue(profile_accesses));
-  out.set("collector_lines", serve::JsonValue(collector_lines));
-  out.set("projected_buckets", serve::JsonValue(projected_buckets));
-  out.set("replay_cache_accesses", serve::JsonValue(replay_accesses));
-  out.set("work_reduction", serve::JsonValue(work_reduction));
-  out.set("presets_within_10pct",
-          serve::JsonValue(static_cast<std::uint64_t>(within_10pct)));
-  out.set("mpi_gate_ok", serve::JsonValue(within_10pct >= 3));
-  out.set("work_reduction_at_least_2x",
-          serve::JsonValue(work_reduction >= 2.0));
-  std::ofstream f("BENCH_reuse.json");
-  f << serve::json_dump(out) << "\n";
-  f.close();
-  std::cout << "wrote BENCH_reuse.json\n";
 
   if (within_10pct < 3) {
     std::cerr << "FAIL: model MPI within 10% on only " << within_10pct

@@ -1,25 +1,32 @@
-// Observability overhead check: asserts the "zero overhead when disabled"
-// contract of src/obs. A FastForward prediction sweep is timed with
-// instrumentation disabled and enabled, interleaved sample by sample so
-// machine drift hits both arms equally; the medians must show that the
-// *disabled* path costs no more than the enabled one plus noise margin.
-// The same gate covers the histogram helper (obs::hist_record behind the
-// enabled() guard) and the EventLog sampled-out path, so the serve-path
-// telemetry additions cannot quietly grow a disabled-path cost.
-//
-// Registered as a ctest (label: observability) — exits 1 on regression.
-#include <algorithm>
-#include <chrono>
+// Observability overhead gate: the "zero overhead when disabled" contract
+// of src/obs, restated as counts so it holds on any host. Each check runs
+// the same work with instrumentation off and on and compares what the two
+// arms did, not how long they took:
+//   * a FastForward prediction loop leaves the global metrics registry
+//     untouched (no name registered, nothing recorded) while disabled, and
+//     allocates strictly less than the enabled arm, which registers and
+//     records;
+//   * obs::hist_record behind the enabled() guard registers nothing,
+//     records nothing and allocates nothing while disabled; enabled, it
+//     records every call;
+//   * an EventLog record that sampling drops does no formatting or IO: the
+//     sampled-out writes allocate nothing and add no sink bytes, while the
+//     same writes on an unsampled log do both.
+// The allocation counts come from this binary's replacement operator new.
+// Registered as a ctest (label: observability) — exits 1 on violation.
+#include <atomic>
+#include <cstdlib>
 #include <iostream>
+#include <new>
 #include <sstream>
-#include <vector>
+#include <string>
+#include <utility>
 
 #include "core/prophet.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
 #include "report/experiment.hpp"
 #include "tree/compress.hpp"
-#include "util/env.hpp"
 #include "util/rng.hpp"
 #include "workloads/test_patterns.hpp"
 
@@ -27,147 +34,174 @@ using namespace pprophet;
 
 namespace {
 
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
+std::atomic<std::uint64_t> g_allocations{0};
+
+/// Metric names registered and events recorded in the global registry.
+struct Tally {
+  std::uint64_t names = 0;
+  std::uint64_t records = 0;
+};
+
+Tally registry_tally() {
+  const obs::MetricsSnapshot s = obs::MetricsRegistry::global().snapshot();
+  Tally t;
+  t.names = s.counters.size() + s.gauges.size() + s.timers.size() +
+            s.histograms.size();
+  for (const auto& [name, v] : s.counters) t.records += v;
+  for (const auto& [name, v] : s.timers) t.records += v.count;
+  for (const auto& [name, v] : s.histograms) t.records += v.count;
+  return t;
 }
 
-double run_once(const tree::ProgramTree& t, const core::PredictOptions& po) {
-  const auto t0 = std::chrono::steady_clock::now();
-  double sink = 0.0;
-  for (const CoreCount n : {2u, 4u, 8u, 12u}) {
-    sink += core::predict(t, n, po).speedup;
-  }
-  const double ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-  if (sink == 0.0) std::cout << "";  // keep the work observable
-  return ms;
+/// What one arm did: registry movement and heap allocations.
+struct Arm {
+  std::uint64_t new_names = 0;
+  std::uint64_t new_records = 0;
+  std::uint64_t allocations = 0;
+};
+
+template <class Work>
+Arm measure(bool enabled, Work&& work) {
+  obs::set_enabled(enabled);
+  const Tally before = registry_tally();
+  const std::uint64_t a0 = g_allocations.load();
+  work();
+  const std::uint64_t a1 = g_allocations.load();
+  obs::set_enabled(false);
+  const Tally after = registry_tally();
+  return {after.names - before.names, after.records - before.records,
+          a1 - a0};
+}
+
+void print_arms(const char* what, const Arm& dis, const Arm& ena) {
+  std::cout << what << ": disabled " << dis.new_names << " names, "
+            << dis.new_records << " records, " << dis.allocations
+            << " allocations; enabled " << ena.new_names << " names, "
+            << ena.new_records << " records, " << ena.allocations
+            << " allocations\n";
 }
 
 }  // namespace
 
+void* operator new(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return operator new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
+  return operator new(n, t);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
 int main() {
-  const long samples = util::env_long("PP_SAMPLES", 30);
-  const long seed = util::env_long("PP_SEED", 2012);
   report::print_header(std::cout,
                        "Observability overhead — disabled instrumentation "
-                       "vs enabled (PP_SAMPLES=" + std::to_string(samples) +
-                           ")");
+                       "vs enabled, counted");
+  int rc = 0;
 
-  util::Xoshiro256 rng(static_cast<std::uint64_t>(seed));
+  util::Xoshiro256 rng(2012);
   tree::ProgramTree t = workloads::run_test2(workloads::random_test2(rng));
   tree::compress(t);
-
-  core::PredictOptions po = report::paper_options(core::Method::FastForward);
-
-  std::vector<double> disabled_ms, enabled_ms;
-  disabled_ms.reserve(static_cast<std::size_t>(samples));
-  enabled_ms.reserve(static_cast<std::size_t>(samples));
-  // Warm-up: fault in code paths and register the metric names once.
-  obs::set_enabled(true);
-  run_once(t, po);
-  obs::set_enabled(false);
-  run_once(t, po);
-  for (long i = 0; i < samples; ++i) {
-    obs::set_enabled(false);
-    disabled_ms.push_back(run_once(t, po));
-    obs::set_enabled(true);
-    enabled_ms.push_back(run_once(t, po));
-  }
-  obs::set_enabled(false);
-
-  const double dis = median(disabled_ms);
-  const double ena = median(enabled_ms);
-  std::cout << "median disabled: " << dis << " ms\n"
-            << "median enabled:  " << ena << " ms\n"
-            << "ratio disabled/enabled: " << (ena > 0.0 ? dis / ena : 0.0)
-            << "\n";
-
-  // The disabled path must not be slower than the instrumented path beyond
-  // scheduler noise. (Comparing against the *enabled* run of the same build
-  // avoids cross-build baselines, which CI cannot reproduce.)
-  constexpr double kNoiseFactor = 1.25;
-  if (dis > ena * kNoiseFactor) {
-    std::cout << "FAIL: disabled instrumentation is more than "
-              << kNoiseFactor << "x the enabled run — the obs::enabled() "
-              << "guard is no longer cheap\n";
-    return 1;
-  }
-  std::cout << "OK: disabled-path overhead within noise\n";
-
-  // --- Histogram guard: obs::hist_record with the registry disabled must
-  // cost no more than the recording path plus noise. Interleaved samples,
-  // same discipline as the sweep gate above.
-  const long iters = util::env_long("PP_HIST_ITERS", 500000);
-  const auto hist_pass = [&] {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (long i = 0; i < iters; ++i) {
-      obs::hist_record("bench.hist_us",
-                       static_cast<std::uint64_t>(i) & 0xFFFF);
+  const core::PredictOptions po =
+      report::paper_options(core::Method::FastForward);
+  const auto predict_loop = [&] {
+    for (const CoreCount n : {2u, 4u, 8u, 12u}) {
+      (void)core::predict(t, n, po);
     }
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
   };
-  obs::set_enabled(true);
-  hist_pass();  // warm-up: registers the name
+
+  // Warm-up with metrics off, so one-time allocations of the prediction
+  // path land in neither arm. The disabled arm runs before any name is
+  // registered, so the enabled arm pays every registration.
   obs::set_enabled(false);
-  hist_pass();
-  std::vector<double> hist_dis, hist_ena;
-  for (int i = 0; i < 5; ++i) {
-    obs::set_enabled(false);
-    hist_dis.push_back(hist_pass());
-    obs::set_enabled(true);
-    hist_ena.push_back(hist_pass());
-  }
-  obs::set_enabled(false);
-  const double hd = median(hist_dis);
-  const double he = median(hist_ena);
-  std::cout << "hist_record disabled: " << hd << " ms / " << iters
-            << " calls, enabled: " << he << " ms\n";
-  if (hd > he * kNoiseFactor) {
-    std::cout << "FAIL: disabled hist_record is more than " << kNoiseFactor
-              << "x the recording path — the enabled() guard is no longer "
-              << "cheap\n";
-    return 1;
+  predict_loop();
+  const Arm sweep_dis = measure(false, predict_loop);
+  const Arm sweep_ena = measure(true, predict_loop);
+  print_arms("FF predict loop", sweep_dis, sweep_ena);
+  if (sweep_dis.new_names != 0 || sweep_dis.new_records != 0 ||
+      sweep_ena.new_names == 0 || sweep_ena.new_records == 0 ||
+      sweep_dis.allocations >= sweep_ena.allocations) {
+    std::cout << "FAIL: the disabled prediction path touched the registry "
+                 "or allocated as much as the instrumented one — an "
+                 "obs::enabled() guard is gone\n";
+    rc = 1;
   }
 
-  // --- EventLog: a sampled-out info record does no formatting or IO, so it
-  // must cost no more than actually writing records plus noise.
-  const long log_iters = util::env_long("PP_LOG_ITERS", 20000);
-  const auto log_pass = [&](obs::EventLog& log) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (long i = 0; i < log_iters; ++i) {
-      obs::LogRecord rec("bench");
-      rec.u64("i", static_cast<std::uint64_t>(i));
+  // --- Histogram guard: obs::hist_record on a name nothing else uses.
+  constexpr std::uint64_t kHistCalls = 10000;
+  const auto hist_loop = [] {
+    for (std::uint64_t i = 0; i < kHistCalls; ++i) {
+      obs::hist_record("bench.hist_us", i & 0xFFFF);
+    }
+  };
+  const Arm hist_dis = measure(false, hist_loop);
+  const Arm hist_ena = measure(true, hist_loop);
+  print_arms("hist_record", hist_dis, hist_ena);
+  if (hist_dis.new_names != 0 || hist_dis.new_records != 0 ||
+      hist_dis.allocations != 0 || hist_ena.new_names != 1 ||
+      hist_ena.new_records != kHistCalls) {
+    std::cout << "FAIL: disabled hist_record registered, recorded or "
+                 "allocated — the enabled() guard is gone\n";
+    rc = 1;
+  }
+
+  // --- EventLog: after the one admitted record, a 1-in-2^30 sampled log
+  // drops every Info record before formatting it.
+  constexpr std::uint64_t kLogWrites = 1000;
+  obs::LogRecord rec("bench");
+  rec.u64("i", 42);
+  struct LogArm {
+    std::uint64_t written = 0, sampled_out = 0, bytes = 0, allocations = 0;
+  };
+  const auto log_arm = [&](obs::EventLog::Options opts) {
+    std::ostringstream sink;
+    obs::EventLog log(sink, opts);
+    log.write(obs::Severity::Info, rec);  // admitted by either log
+    const auto bytes0 = sink.tellp();
+    const std::uint64_t a0 = g_allocations.load();
+    for (std::uint64_t i = 1; i < kLogWrites; ++i) {
       log.write(obs::Severity::Info, rec);
     }
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
+    const std::uint64_t allocations = g_allocations.load() - a0;
+    return LogArm{log.written(), log.sampled_out(),
+                  static_cast<std::uint64_t>(sink.tellp() - bytes0),
+                  allocations};
   };
-  std::vector<double> log_skip, log_write;
-  for (int i = 0; i < 5; ++i) {
-    std::ostringstream sink_skip, sink_write;
-    obs::EventLog::Options skip_all;
-    skip_all.sample_every = 1u << 30;  // sample out ~everything
-    obs::EventLog skipping(sink_skip, skip_all);
-    obs::EventLog writing(sink_write);
-    log_skip.push_back(log_pass(skipping));
-    log_write.push_back(log_pass(writing));
+  obs::EventLog::Options skip_all;
+  skip_all.sample_every = 1u << 30;
+  const LogArm skip = log_arm(skip_all);
+  const LogArm write = log_arm({});
+  for (const auto& [name, arm] : {std::pair{"sampled", skip},
+                                  std::pair{"unsampled", write}}) {
+    std::cout << "event_log " << name << ": " << arm.written << " written, "
+              << arm.sampled_out << " sampled out; the last "
+              << kLogWrites - 1 << " writes added " << arm.bytes
+              << " sink bytes, " << arm.allocations << " allocations\n";
   }
-  const double ls = median(log_skip);
-  const double lw = median(log_write);
-  std::cout << "event_log sampled-out: " << ls << " ms / " << log_iters
-            << " records, writing: " << lw << " ms\n";
-  if (ls > lw * kNoiseFactor) {
-    std::cout << "FAIL: a sampled-out log record costs more than "
-              << kNoiseFactor << "x a written one — the sampling gate is no "
-              << "longer cheap\n";
-    return 1;
+  if (skip.written != 1 || skip.sampled_out != kLogWrites - 1 ||
+      skip.bytes != 0 || skip.allocations != 0 ||
+      write.written != kLogWrites || write.bytes == 0 ||
+      write.allocations == 0) {
+    std::cout << "FAIL: a sampled-out log record was formatted or written — "
+                 "the sampling gate is gone\n";
+    rc = 1;
   }
 
-  std::cout << "OK: histogram and event-log disabled paths within noise\n";
-  return 0;
+  if (rc == 0) {
+    std::cout << "OK: every disabled path did strictly less work than its "
+                 "enabled twin\n";
+  }
+  return rc;
 }

@@ -101,13 +101,16 @@ ProphetReport Prophet::analyze(ProfiledProgram profiled) const {
     }
   }
 
+  // One compilation feeds both curves and the advisor.
+  tree::CompiledTree compiled;
   {
     StageScope stage(report.stages, "curves");
+    compiled = tree::CompiledTree::compile(profiled.tree);
     for (const CoreCount t : config_.thread_counts) {
       report.ff.push_back(
-          predict(profiled.tree, t, predict_options(Method::FastForward)));
+          predict(compiled, t, predict_options(Method::FastForward)));
       report.synth.push_back(
-          predict(profiled.tree, t, predict_options(Method::Synthesizer)));
+          predict(compiled, t, predict_options(Method::Synthesizer)));
     }
   }
 
@@ -117,7 +120,7 @@ ProphetReport Prophet::analyze(ProfiledProgram profiled) const {
     ao.base = predict_options(Method::Synthesizer);
     ao.grid.thread_counts = config_.thread_counts;
     ao.grid.chunks.clear();  // sweep with the configured chunk (as before)
-    report.advice = advise(profiled.tree, ao);
+    report.advice = advise(compiled, ao);
   }
   if (obs::enabled()) {
     report.metrics = obs::MetricsRegistry::global().snapshot();

@@ -10,21 +10,10 @@
 #include "serve/json.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
-#include "tree/binary.hpp"
-#include "tree/compress.hpp"
-#include "workloads/test_patterns.hpp"
+#include "serve_test_util.hpp"
 
 namespace pprophet::serve {
 namespace {
-
-std::string sample_pptb() {
-  workloads::Test1Params p;
-  p.i_max = 16;
-  p.lock1_prob = 0.5;
-  tree::ProgramTree t = workloads::run_test1(p);
-  tree::compress(t);
-  return tree::to_binary(tree::pack(t));
-}
 
 class MachinesServeTest : public ::testing::Test {
  protected:

@@ -1,8 +1,9 @@
 // Reactor-level integration tests: transport resilience (fd exhaustion,
 // mid-frame stalls), adversarial framing against the incremental decoder,
-// request pipelining, the TCP transport, and tiered load shedding. These
-// poke the server through raw sockets on purpose — the Client helper is too
-// polite to produce the byte patterns the reactor has to survive.
+// request pipelining, the TCP transport, tiered load shedding, and many
+// concurrent clients on both transports. Most poke the server through raw
+// sockets on purpose — the Client helper is too polite to produce the byte
+// patterns the reactor has to survive.
 #include <gtest/gtest.h>
 
 #include <cerrno>
@@ -27,33 +28,12 @@
 #include "serve/server.hpp"
 #include "tree/binary.hpp"
 #include "tree/compress.hpp"
+#include "util/rng.hpp"
 #include "workloads/test_patterns.hpp"
+#include "serve_test_util.hpp"
 
 namespace pprophet::serve {
 namespace {
-
-std::string sample_pptb() {
-  workloads::Test1Params p;
-  p.i_max = 16;
-  p.lock1_prob = 0.5;
-  tree::ProgramTree t = workloads::run_test1(p);
-  tree::compress(t);
-  return tree::to_binary(tree::pack(t));
-}
-
-int raw_connect(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof addr.sun_path - 1);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
-      0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
 
 void send_all(int fd, const char* buf, std::size_t n) {
   std::size_t sent = 0;
@@ -68,14 +48,6 @@ JsonValue op_req(const char* op) {
   JsonValue r;
   r.set("op", JsonValue(op));
   return r;
-}
-
-std::uint64_t counter_value(const obs::MetricsSnapshot& snap,
-                            const std::string& name) {
-  for (const auto& [n, v] : snap.counters) {
-    if (n == name) return v;
-  }
-  return 0;
 }
 
 class ReactorTest : public ::testing::Test {
@@ -143,12 +115,9 @@ TEST_F(ReactorTest, FdExhaustionRecoveryAfterAcceptFailure) {
   write_frame(victim, json_dump(op_req("ping")));
 
   // The old code exits the accept loop here; the fixed one keeps counting.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (server.stats().accept_errors == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
+  wait_for_state(server, [](const ServerStatsSnapshot& s) {
+    return s.accept_errors > 0;
+  });
   const std::uint64_t during_outage = server.stats().accept_errors;
   release();
   if (during_outage == 0) FAIL() << "accept error never surfaced";
@@ -205,12 +174,9 @@ TEST_F(ReactorTest, MidFrameStallIsTimedOutAndLogged) {
   EXPECT_FALSE(read_frame(fd, payload));  // server hangs up on us
   ::close(fd);
 
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (server.stats().io_timeouts == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
+  wait_for_state(server, [](const ServerStatsSnapshot& s) {
+    return s.io_timeouts > 0;
+  });
   EXPECT_GE(server.stats().io_timeouts, 1u);
   EXPECT_NE(sink.str().find("io_timeout"), std::string::npos) << sink.str();
 
@@ -315,12 +281,9 @@ TEST_F(ReactorTest, OversizeFrameDropsConnection) {
   EXPECT_FALSE(read_frame(fd, payload));  // dropped, no response
   ::close(fd);
 
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (counter_value(server.stats().metrics, "serve.protocol_errors") == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
+  wait_for_state(server, [](const ServerStatsSnapshot& s) {
+    return counter_value(s.metrics, "serve.protocol_errors") > 0;
+  });
   EXPECT_GE(counter_value(server.stats().metrics, "serve.protocol_errors"),
             1u);
   // The server survives for well-formed clients.
@@ -491,10 +454,10 @@ TEST_F(ReactorTest, LoadSheddingShedsExpensiveOpsFirst) {
   // Park the worker, then stack the queue to the high watermark.
   JsonValue parked_resp, q1_resp, q2_resp, f1_resp, f2_resp;
   std::thread t0([&] { parked_resp = parked.call(sleep_req(900)); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  ASSERT_TRUE(wait_for_load(server, 1, 0));
   std::thread t1([&] { q1_resp = q1.call(sleep_req(0)); });
   std::thread t2([&] { q2_resp = q2.call(sleep_req(0)); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  ASSERT_TRUE(wait_for_load(server, 1, 2));
   // Queue depth 2 = watermark: the expensive probe sheds...
   const JsonValue shed = probe.call(sleep_req(0));
   EXPECT_FALSE(shed.at("ok").as_bool());
@@ -503,7 +466,7 @@ TEST_F(ReactorTest, LoadSheddingShedsExpensiveOpsFirst) {
   // ...but cheap ops are still admitted until the queue is actually full.
   std::thread t3([&] { f1_resp = f1.call(cheap_req()); });
   std::thread t4([&] { f2_resp = f2.call(cheap_req()); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  ASSERT_TRUE(wait_for_load(server, 1, 4));
   // Depth 4 = limit: now even a cheap op sheds, with the "full" tier tag.
   const JsonValue full = full_probe.call(cheap_req());
   EXPECT_FALSE(full.at("ok").as_bool());
@@ -523,6 +486,140 @@ TEST_F(ReactorTest, LoadSheddingShedsExpensiveOpsFirst) {
   EXPECT_GE(counter_value(snap, "serve.shed.full"), 1u);
   EXPECT_GE(server.stats().overloaded, 2u);
   server.stop();
+}
+
+// Many concurrent clients on both transports: each transport gets its own
+// daemon (4 serve workers) and 64 client threads that each upload the same
+// tree and send 4 sweeps drawn from a 4-kind mix, so the result cache sees
+// first-touch misses and repeat hits. Every response must equal an
+// in-process core::sweep, the identical uploads must leave one stored tree,
+// the cache must hit, and the per-stage histogram totals must partition
+// serve.total_us exactly (request_trace.hpp).
+TEST_F(ReactorTest, ConcurrentClientsOnBothTransportsMatchInProcessSweep) {
+  constexpr int kClients = 64;
+  constexpr int kRequests = 4;
+  struct Kind {
+    std::vector<core::Method> methods;
+    std::vector<runtime::OmpSchedule> schedules;
+    std::vector<CoreCount> threads;
+  };
+  const std::vector<Kind> kinds = {
+      {{core::Method::Synthesizer}, {runtime::OmpSchedule::StaticCyclic},
+       {2, 4, 8, 12}},
+      {{core::Method::FastForward}, {runtime::OmpSchedule::Dynamic},
+       {2, 4, 8}},
+      {{core::Method::FastForward, core::Method::Synthesizer},
+       {runtime::OmpSchedule::StaticCyclic, runtime::OmpSchedule::StaticBlock},
+       {2, 4, 6, 8, 10, 12}},
+      {{core::Method::Suitability}, {runtime::OmpSchedule::Guided}, {4, 8}},
+  };
+
+  util::Xoshiro256 rng(2012);
+  tree::ProgramTree t = workloads::run_test2(workloads::random_test2(rng));
+  tree::compress(t);
+  const std::string pptb = tree::to_binary(tree::pack(t));
+  const tree::ProgramTree reference = tree::unpack(tree::from_binary(pptb));
+  std::vector<core::SweepResult> expected;
+  for (const Kind& k : kinds) {
+    core::SweepGrid grid;
+    grid.methods = k.methods;
+    grid.paradigms = {core::Paradigm::OpenMP};
+    grid.schedules = k.schedules;
+    grid.chunks = {1};
+    grid.thread_counts = k.threads;
+    grid.memory_models = {false};
+    grid.base = report::paper_options(k.methods.front());
+    grid.base.machine.cores = 12;
+    expected.push_back(core::sweep(reference, grid));
+  }
+  const auto request = [&](const Kind& k, const std::string& key) {
+    JsonValue req = op_req("sweep");
+    req.set("key", JsonValue(key));
+    JsonValue::Array methods, schedules, threads;
+    for (const auto m : k.methods) methods.emplace_back(wire_name(m));
+    for (const auto sc : k.schedules) schedules.emplace_back(wire_name(sc));
+    for (const auto n : k.threads) {
+      threads.emplace_back(static_cast<std::uint64_t>(n));
+    }
+    req.set("methods", JsonValue(std::move(methods)));
+    req.set("schedules", JsonValue(std::move(schedules)));
+    req.set("threads", JsonValue(std::move(threads)));
+    req.set("cores", JsonValue(std::uint64_t{12}));
+    return req;
+  };
+  const auto matches = [](const JsonValue& resp,
+                          const core::SweepResult& want) {
+    const JsonValue* ok = resp.find("ok");
+    if (ok == nullptr || !ok->is_bool() || !ok->as_bool()) return false;
+    const JsonValue::Array& cells = resp.at("result").at("cells").as_array();
+    if (cells.size() != want.cells.size()) return false;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      const core::SpeedupEstimate& e = want.cells[i].estimate;
+      if (cells[i].at("parallel_cycles").as_u64() != e.parallel_cycles ||
+          cells[i].at("serial_cycles").as_u64() != e.serial_cycles ||
+          cells[i].at("speedup").as_double() != e.speedup) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  for (const bool tcp : {false, true}) {
+    SCOPED_TRACE(tcp ? "tcp" : "unix");
+    ServerConfig cfg = base_config(tcp ? "load_tcp" : "load_unix");
+    if (tcp) cfg.listen_tcp = "127.0.0.1:0";
+    cfg.workers = 4;
+    // Headroom above the client count: shedding is covered by
+    // LoadSheddingShedsExpensiveOpsFirst.
+    cfg.queue_limit = kClients * 4;
+    Server server(cfg);
+    server.start();
+    const std::string endpoint =
+        tcp ? "127.0.0.1:" + std::to_string(server.tcp_port())
+            : cfg.socket_path;
+
+    std::vector<int> mismatches(kClients, 0);
+    std::vector<std::thread> pool;
+    for (int c = 0; c < kClients; ++c) {
+      pool.emplace_back([&, c] {
+        Client client;
+        client.connect_endpoint(endpoint);
+        const std::string key = client.upload(pptb);
+        for (int r = 0; r < kRequests; ++r) {
+          const std::size_t k = static_cast<std::size_t>(c + r) % kinds.size();
+          if (!matches(client.call(request(kinds[k], key)), expected[k])) {
+            ++mismatches[static_cast<std::size_t>(c)];
+          }
+        }
+      });
+    }
+    for (std::thread& th : pool) th.join();
+    // Snapshot only after stop(): a client can read its last response
+    // before the reactor finishes recording that request's stage
+    // histograms, and a mid-record snapshot would not reconcile.
+    server.stop();
+    const ServerStatsSnapshot stats = server.stats();
+
+    for (int c = 0; c < kClients; ++c) {
+      EXPECT_EQ(mismatches[static_cast<std::size_t>(c)], 0) << "client " << c;
+    }
+    EXPECT_EQ(stats.stored_trees, 1u);
+    EXPECT_GT(stats.cache.hits, 0u);
+    std::uint64_t stage_sum = 0, total = 0, finished = 0;
+    for (const auto& [name, h] : stats.metrics.histograms) {
+      if (name == "serve.total_us") {
+        total = h.total;
+        finished = h.count;
+      }
+      if (name == "serve.read_us" || name == "serve.queue_wait_us" ||
+          name == "serve.compute_us" || name == "serve.write_us" ||
+          name == "serve.other_us") {
+        stage_sum += h.total;
+      }
+    }
+    EXPECT_EQ(finished, std::uint64_t{kClients} * (kRequests + 1));
+    EXPECT_EQ(stage_sum, total);
+  }
 }
 
 }  // namespace

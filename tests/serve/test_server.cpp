@@ -21,20 +21,10 @@
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "tree/binary.hpp"
-#include "tree/compress.hpp"
-#include "workloads/test_patterns.hpp"
+#include "serve_test_util.hpp"
 
 namespace pprophet::serve {
 namespace {
-
-std::string sample_pptb() {
-  workloads::Test1Params p;
-  p.i_max = 16;
-  p.lock1_prob = 0.5;
-  tree::ProgramTree t = workloads::run_test1(p);
-  tree::compress(t);
-  return tree::to_binary(tree::pack(t));
-}
 
 class ServerTest : public ::testing::Test {
  protected:
@@ -425,9 +415,9 @@ TEST_F(ServerTest, BackpressureRejectsWithOverloaded) {
   c3.connect(server.config().socket_path);
   JsonValue r1, r2;
   std::thread t1([&] { r1 = c1.call(sleep_req(600)); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  ASSERT_TRUE(wait_for_load(server, 1, 0));
   std::thread t2([&] { r2 = c2.call(sleep_req(0)); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ASSERT_TRUE(wait_for_load(server, 1, 1));
 
   const JsonValue rejected = c3.call(sleep_req(0));
   EXPECT_FALSE(rejected.at("ok").as_bool());
@@ -457,7 +447,7 @@ TEST_F(ServerTest, QueuedDeadlineExpiresIntoDeadlineExceeded) {
     r.set("ms", JsonValue(500));
     r1 = c1.call(r);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  ASSERT_TRUE(wait_for_load(server, 1, 0));
 
   // Queued behind a 500 ms job with a 50 ms budget: by the time a worker
   // picks it up the deadline has long expired.
@@ -482,16 +472,16 @@ TEST_F(ServerTest, SigtermDrainsInFlightRequestsBeforeExit) {
   server.start();
   arm_signal_shutdown(server, {SIGTERM});
 
-  JsonValue inflight;
+  JsonValue admitted;
   std::thread client([&] {
     Client c;
     c.connect(server.config().socket_path);
     JsonValue r;
     r.set("op", JsonValue("sleep"));
     r.set("ms", JsonValue(400));
-    inflight = c.call(r);
+    admitted = c.call(r);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  ASSERT_TRUE(wait_for_load(server, 1, 0));
 
   // The drain must let the admitted 400 ms request finish and flush its
   // response before wait() returns.
@@ -500,8 +490,8 @@ TEST_F(ServerTest, SigtermDrainsInFlightRequestsBeforeExit) {
   disarm_signal_shutdown();
   client.join();
 
-  ASSERT_TRUE(inflight.is_object());
-  EXPECT_TRUE(inflight.at("ok").as_bool());
+  ASSERT_TRUE(admitted.is_object());
+  EXPECT_TRUE(admitted.at("ok").as_bool());
   EXPECT_FALSE(server.running());
   // The socket is gone: new clients cannot connect after the drain.
   Client late;
@@ -550,41 +540,6 @@ TEST_F(ServerTest, StaleSocketIsReclaimedLiveSocketIsNot) {
   second.stop();
 }
 
-int raw_connect(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof addr.sun_path - 1);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
-      0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-/// Polls the server's stats until `ready` holds, so tests order events on
-/// observed server state instead of on sleeps. False after a generous
-/// timeout (the caller's assertion then fails instead of hanging).
-template <class Ready>
-bool wait_for_state(const Server& server, Ready ready) {
-  const auto give_up =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (!ready(server.stats())) {
-    if (std::chrono::steady_clock::now() > give_up) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return true;
-}
-
-double inflight(const ServerStatsSnapshot& s) {
-  for (const auto& [name, v] : s.metrics.gauges) {
-    if (name == "serve.inflight") return v;
-  }
-  return 0.0;
-}
-
 // A request that reaches an open connection after the drain began is
 // answered `shutting_down`, not dropped, while a request admitted before the
 // drain runs to completion.
@@ -606,9 +561,7 @@ TEST_F(ServerTest, BufferedRequestDuringDrainGetsShuttingDown) {
     r.set("ms", JsonValue(400));
     busy_resp = busy.call(r);
   });
-  ASSERT_TRUE(wait_for_state(server, [](const ServerStatsSnapshot& s) {
-    return inflight(s) == 1.0;
-  }));
+  ASSERT_TRUE(wait_for_load(server, 1, 0));
 
   const int fd = raw_connect(cfg.socket_path);
   ASSERT_GE(fd, 0);
@@ -616,9 +569,7 @@ TEST_F(ServerTest, BufferedRequestDuringDrainGetsShuttingDown) {
   sleep0.set("op", JsonValue("sleep"));
   sleep0.set("ms", JsonValue(0));
   write_frame(fd, json_dump(sleep0));  // admitted, queued behind `busy`
-  ASSERT_TRUE(wait_for_state(server, [](const ServerStatsSnapshot& s) {
-    return s.queue_depth == 1;
-  }));
+  ASSERT_TRUE(wait_for_load(server, 1, 1));
 
   server.request_shutdown();
   // The queue is closed once request_shutdown returns, and the connection

@@ -7,36 +7,21 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <cstring>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include "obs/event_log.hpp"
 #include "obs/histogram.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
-#include "tree/binary.hpp"
-#include "tree/compress.hpp"
-#include "workloads/test_patterns.hpp"
+#include "serve_test_util.hpp"
 
 namespace pprophet::serve {
 namespace {
-
-std::string sample_pptb() {
-  workloads::Test1Params p;
-  p.i_max = 16;
-  p.lock1_prob = 0.5;
-  tree::ProgramTree t = workloads::run_test1(p);
-  tree::compress(t);
-  return tree::to_binary(tree::pack(t));
-}
 
 JsonValue predict_req(const std::string& key) {
   JsonValue r;
@@ -169,33 +154,19 @@ TEST_F(StatsEndpointTest, ComputeHistogramSplitsByCacheOutcome) {
   EXPECT_EQ(miss->count, 1u);
 }
 
-int raw_connect(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof addr.sun_path - 1);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
-      0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
 // `pprophet stats --watch` keeps polling while a server drains; a stats
-// frame already buffered when the drain begins must be answered for real
-// (unlike compute ops, which get shutting_down) so the operator can watch
-// the queue empty instead of going blind.
+// frame that reaches an open connection after the drain began must be
+// answered for real (unlike compute ops, which get shutting_down) so the
+// operator can watch the queue empty instead of going blind.
 TEST_F(StatsEndpointTest, StatsAnswersDuringDrain) {
   ServerConfig cfg = base_config("drain");
   cfg.workers = 1;
   Server server(cfg);
   server.start();
 
-  // Occupy the single worker so the raw client's first frame parks its
-  // connection thread on a queued future, leaving the later frames sitting
-  // unread in the socket buffer when the drain begins.
+  // Occupy the single worker so the raw client's first frame stays queued
+  // — and its connection open through the drain — while the later frames
+  // arrive.
   Client busy;
   busy.connect(cfg.socket_path);
   JsonValue busy_resp;
@@ -205,7 +176,7 @@ TEST_F(StatsEndpointTest, StatsAnswersDuringDrain) {
     r.set("ms", JsonValue(std::uint64_t{400}));
     busy_resp = busy.call(r);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ASSERT_TRUE(wait_for_load(server, 1, 0));
 
   const int fd = raw_connect(cfg.socket_path);
   ASSERT_GE(fd, 0);
@@ -213,25 +184,27 @@ TEST_F(StatsEndpointTest, StatsAnswersDuringDrain) {
   sleep0.set("op", JsonValue("sleep"));
   sleep0.set("ms", JsonValue(std::uint64_t{0}));
   write_frame(fd, json_dump(sleep0));  // admitted, queued behind `busy`
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  JsonValue stats_req;
-  stats_req.set("op", JsonValue("stats"));
-  write_frame(fd, json_dump(stats_req));           // buffered
-  write_frame(fd, json_dump(predict_req("nope")));  // buffered
+  ASSERT_TRUE(wait_for_load(server, 1, 1));
 
   server.request_shutdown();
+  // The queue is closed once request_shutdown returns, and the connection
+  // still owes frame 1's response, so it keeps reading.
+  JsonValue stats_req;
+  stats_req.set("op", JsonValue("stats"));
+  write_frame(fd, json_dump(stats_req));
+  write_frame(fd, json_dump(predict_req("nope")));
 
   // Frame 1 was admitted before the drain: it runs to completion.
   std::string payload;
   ASSERT_TRUE(read_frame(fd, payload));
   EXPECT_TRUE(json_parse(payload).at("ok").as_bool()) << payload;
-  // Frame 2, the buffered stats poll, is answered with live numbers.
+  // Frame 2, a stats poll during the drain, is answered with live numbers.
   ASSERT_TRUE(read_frame(fd, payload));
   const JsonValue stats = json_parse(payload);
   ASSERT_TRUE(stats.at("ok").as_bool()) << payload;
   EXPECT_GE(stats.at("stats").at("requests").as_u64(), 1u);
   EXPECT_NE(stats.at("stats").at("metrics").find("histograms"), nullptr);
-  // Frame 3, a buffered compute op, still gets the drain refusal.
+  // Frame 3, a compute op during the drain, gets the drain refusal.
   ASSERT_TRUE(read_frame(fd, payload));
   const JsonValue refused = json_parse(payload);
   EXPECT_FALSE(refused.at("ok").as_bool());

@@ -273,23 +273,57 @@ TEST_F(ProfilerTest, AnnotationErrorAtTopLevelSaysNone) {
   }
 }
 
-// With a real clock, the profiler's own callback cost must be subtracted:
-// profiling a loop of N cheap annotated tasks should not inflate the tree's
-// serial work by the annotation cost.
-TEST(ProfilerOverhead, SelfExclusionKeepsLengthsStable) {
-  SteadyClock clock;
-  IntervalProfiler with(clock, nullptr, {.subtract_overhead = true});
-  with.sec_begin("s");
-  for (int i = 0; i < 20000; ++i) {
-    with.task_begin("t");
-    with.task_end();
+// The profiler's own callback cost must be subtracted: profiling a loop of
+// N cheap annotated tasks should not inflate the tree's serial work by the
+// annotation cost. The profiler reads the clock once when constructed; from
+// then on each callback reads it on entry and, to measure itself, on exit.
+// This clock charges `self_cost` cycles between a callback's entry and exit
+// reads and one cycle of user work between an exit and the next entry, so
+// the attributed work must not depend on `self_cost`.
+class SelfCostClock final : public CycleClock {
+ public:
+  explicit SelfCostClock(Cycles self_cost) : self_cost_(self_cost) {}
+  Cycles now() const override {
+    const Cycles t = t_;
+    t_ += entry_ ? self_cost_ : 1;
+    entry_ = !entry_;
+    return t;
   }
-  with.sec_end(true);
-  const tree::ProgramTree t = with.finish();
-  EXPECT_GT(with.excluded_overhead(), 0u);
-  // Empty tasks should carry (near-)zero attributed work; allow scheduler
-  // noise of a few microseconds total.
-  EXPECT_LT(t.root->child(0)->serial_work(), 4'000'000u);  // < 4 ms in ns
+
+ private:
+  Cycles self_cost_;
+  mutable Cycles t_ = 0;
+  mutable bool entry_ = false;  // the constructor's read precedes user work
+};
+
+TEST(ProfilerOverhead, SelfExclusionKeepsLengthsStable) {
+  constexpr int kTasks = 20000;
+  const auto profile = [](Cycles self_cost, Cycles& excluded) {
+    SelfCostClock clock(self_cost);
+    IntervalProfiler with(clock, nullptr, {.subtract_overhead = true});
+    with.sec_begin("s");
+    for (int i = 0; i < kTasks; ++i) {
+      with.task_begin("t");
+      with.task_end();
+    }
+    with.sec_end(true);
+    const tree::ProgramTree t = with.finish();
+    excluded = with.excluded_overhead();
+    for (const auto& c : t.root->children()) {
+      if (c->kind() == NodeKind::Sec) return c->serial_work();
+    }
+    ADD_FAILURE() << "no section in the profiled tree";
+    return Cycles{0};
+  };
+  Cycles cheap_excluded = 0, dear_excluded = 0;
+  const Cycles cheap = profile(1, cheap_excluded);
+  const Cycles dear = profile(1'000'000, dear_excluded);
+  EXPECT_GT(dear_excluded, 0u);
+  EXPECT_EQ(dear_excluded, cheap_excluded * 1'000'000);
+  // Each empty task carries only the one cycle of user work between its
+  // two callbacks, whatever the profiler itself costs.
+  EXPECT_EQ(dear, cheap);
+  EXPECT_EQ(cheap, Cycles{kTasks});
 }
 
 }  // namespace

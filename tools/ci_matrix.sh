@@ -12,12 +12,12 @@
 #     (tests/property/test_batched_equivalence.cpp) plus every suite
 #     that drives the sweep worker pool, the memo, the metrics registry and
 #     the serve daemon.
-#   - `ctest -L perf` — the self-checking benches. Under ctest they run in
-#     smoke mode (PP_SMOKE=1, wired in bench/CMakeLists.txt): reduced grid,
-#     one sample, so the bit-identity gates — per-point predict vs memoized
-#     sweep, batched sweep vs per-point predict — still run on every PR without
-#     paying for representative timings. Run the binaries directly for real
-#     BENCH_*.json numbers.
+#   - `ctest -L perf` — the self-checking benches: per-point predict vs
+#     memoized sweep at one and hardware_concurrency workers, advisor
+#     soundness and memo counts, the reuse model's MPI error and work
+#     counts. They compare and count, never time, at one fixed shape, so
+#     tier-1 and the sanitizers run the same grid. Timings live in
+#     perfbench (perfbench/README.md).
 #   - `ctest -L reuse -LE perf` — the reuse-distance memory model
 #     (docs/MEMMODEL.md): collector exactness vs brute-force stack
 #     simulation, miss-model goldens vs the cache simulator, cross-machine
@@ -46,15 +46,20 @@
 # combination) but is not in the default set: TSan roughly 10x-es the
 # event-engine suites, so CI runs it on a slower cadence.
 #
+# A Debug build (no NDEBUG, plus -D_GLIBCXX_ASSERTIONS for bounds-checked
+# containers) then runs `ctest -L des`: the DES's segment and push-list
+# `assert`s in src/machine/machine.cpp only execute there, because the
+# default RelWithDebInfo build and the sanitizer trees define NDEBUG.
+#
 # Independently of the requested set, the matrix always finishes with a
 # thread-sanitizer stage scoped to the serve path: `ctest -L server`
 # (daemon + stats-endpoint + event-log suites, whose latency histograms
-# and JSONL logger are exactly the shared state TSan should watch), a
-# 64-client two-transport load against the epoll reactor
-# (bench_serve_throughput, which also gates response bit-identity), and a
-# live daemon smoke run with --metrics and --log enabled. The `server`
-# label is a small fraction of the full concurrency set, so this stays
-# cheap enough for every PR.
+# and JSONL logger are exactly the shared state TSan should watch; it
+# includes test_reactor's 64-client two-transport load case, which gates
+# response bit-identity against an in-process sweep), and a live daemon
+# smoke run with --metrics and --log enabled. The `server` label is a
+# small fraction of the full concurrency set, so this stays cheap enough
+# for every PR.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -102,7 +107,7 @@ for san in "${sans[@]}"; do
   build_san "${san}" "${bdir}"
   echo "=== ${san}: batched + concurrency labels ==="
   ctest --test-dir "${bdir}" -L 'batched|concurrency' --output-on-failure
-  echo "=== ${san}: perf smoke ==="
+  echo "=== ${san}: perf gates ==="
   ctest --test-dir "${bdir}" -L perf --output-on-failure
   echo "=== ${san}: reuse model label ==="
   ctest --test-dir "${bdir}" -L reuse -LE perf --output-on-failure
@@ -111,7 +116,7 @@ for san in "${sans[@]}"; do
   # Advice API, and the soundness property suite. The advisor walks copied
   # compiled arrays and salts digests in place — pointer-arithmetic-heavy
   # code worth a sanitizer pass. (-LE perf: bench_advisor, which carries
-  # both labels, already gated soundness + memo cost in the perf stage.)
+  # both labels, already gated soundness + memo counts in the perf stage.)
   ctest --test-dir "${bdir}" -L advisor -LE perf --output-on-failure
   echo "=== ${san}: des label ==="
   ctest --test-dir "${bdir}" -L des --output-on-failure
@@ -119,18 +124,13 @@ for san in "${sans[@]}"; do
   ctest --test-dir "${bdir}" -L cli --output-on-failure
 done
 
-# The epoll reactor under real concurrency: both transports, dozens of
-# pipeline-capable clients, the sharded store/cache, and the completion
-# queue between workers and the event thread — the cross-thread traffic
-# TSan exists for. The bench self-checks bit-identity and exits nonzero on
-# mismatch, so this doubles as a correctness gate. (Smaller than the
-# default 128-client shape: TSan's ~10x slowdown would make that a
-# minutes-long stage.)
-reactor_load() {
-  local bdir="$1"
-  (cd "${bdir}/bench" &&
-   PP_CLIENTS=64 PP_REQS=4 PP_SERVE_WORKERS=4 ./bench_serve_throughput)
-}
+# The DES assertions: a Debug tree of its own, unsanitized.
+echo "=== debug: configure + build (build-ci-debug) ==="
+cmake -B build-ci-debug -S . -DCMAKE_BUILD_TYPE=Debug \
+    -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS >/dev/null
+cmake --build build-ci-debug -j "${jobs}"
+echo "=== debug: des label with assertions ==="
+ctest --test-dir build-ci-debug -L des --output-on-failure
 
 # Serve-path TSan stage. Skipped only when a full `thread` pass already ran
 # above — `-L concurrency` is a superset of `-L server` there.
@@ -139,14 +139,11 @@ if [ "${ran_thread}" -eq 0 ]; then
   build_san thread "${bdir}"
   echo "=== thread: server label (stats endpoint, event log, daemon) ==="
   ctest --test-dir "${bdir}" -L server --output-on-failure
-  echo "=== thread: reactor high-concurrency load (unix + tcp) ==="
-  reactor_load "${bdir}"
   echo "=== thread: daemon smoke with --metrics + --log ==="
   serve_smoke "${bdir}"
 else
-  echo "=== thread: full concurrency pass already ran; load + smoke only ==="
-  reactor_load "build-ci-thread"
+  echo "=== thread: full concurrency pass already ran; smoke only ==="
   serve_smoke "build-ci-thread"
 fi
 
-echo "ci matrix OK: ${sans[*]} + thread(server)"
+echo "ci matrix OK: ${sans[*]} + debug(des) + thread(server)"

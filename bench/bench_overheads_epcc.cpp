@@ -55,8 +55,7 @@ int main() {
   const CoreCount threads = 8;
   const runtime::OmpOverheads constants{};
   const Cycles ff_constant =
-      constants.fork_base + constants.fork_per_thread * (threads - 1) +
-      constants.join_barrier;
+      constants.fork_cost(threads) + constants.join_barrier;
   std::cout << "FF's constant model for one region at " << threads
             << " threads: " << ff_constant << " cycles (+ dispatch/iter)\n\n";
 

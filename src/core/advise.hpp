@@ -15,8 +15,8 @@
 //      the target thread count, and rank by marginal speedup. Unedited
 //      sections keep their digests, so every edit re-emulates exactly one
 //      section against a shared memo — the whole search costs a fraction
-//      of a fresh grid sweep (BENCH_advisor.json pins < 3 un-memoized
-//      sweeps).
+//      of a fresh grid sweep (bench_advisor gates its section emulations
+//      below 3 un-memoized sweeps').
 //
 // Soundness contract: for any returned action, applying `action.edit` to
 // the source tree (tree::apply_edit) and re-running core::predict from

@@ -12,6 +12,7 @@
 
 #include "machine/timeline.hpp"
 #include "obs/metrics.hpp"
+#include "runtime/memsplit.hpp"
 #include "runtime/tree_view.hpp"
 
 namespace pprophet::emul {
@@ -185,9 +186,7 @@ class FfEngine {
       cpu.queue.pop_front();
       cpu.free_at = t;
       if (c.charge_dispatch) {
-        cpu.free_at += cfg_.schedule == OmpSchedule::Dynamic
-                           ? cfg_.overheads.dynamic_dispatch
-                           : cfg_.overheads.static_dispatch;
+        cpu.free_at += cfg_.overheads.iteration_dispatch(cfg_.schedule);
         c.charge_dispatch = false;
       }
       cpu.current = c;
@@ -201,7 +200,7 @@ class FfEngine {
       if (const auto range = ctx->sched->next(k)) {
         ctx->unassigned -= range->size();
         cpu.free_at = std::max(cpu.free_at, ctx->spawn_time) +
-                      cfg_.overheads.dynamic_dispatch;
+                      cfg_.overheads.range_dispatch(cfg_.schedule);
         Cursor c;
         c.ctx = ctx;
         c.walk = view_.children(view_.task_at(ctx->index, range->begin));
@@ -253,7 +252,7 @@ class FfEngine {
       return;
     }
     const auto scaled = [&](Cycles len) {
-      return static_cast<Cycles>(static_cast<double>(len) * ctx.burden + 0.5);
+      return runtime::ff_scaled_length(static_cast<double>(len), ctx.burden);
     };
     switch (view_.kind(c)) {
       case NodeKind::U: {
@@ -291,9 +290,7 @@ class FfEngine {
       case NodeKind::Sec: {
         ++cur.rep_done;
         // Fork cost charged to the spawning CPU.
-        cpu.free_at += cfg_.overheads.fork_base +
-                       cfg_.overheads.fork_per_thread *
-                           (cfg_.num_threads - 1);
+        cpu.free_at += cfg_.overheads.fork_cost(cfg_.num_threads);
         const Cycles spawn_time = cpu.free_at;
         if (view_.barrier_at_end(c)) {
           // Suspend this task; resume after the nested barrier.
@@ -352,11 +349,6 @@ void check_cfg(const FfConfig& cfg) {
   }
 }
 
-Cycles fork_cost(const FfConfig& cfg) {
-  return cfg.overheads.fork_base +
-         cfg.overheads.fork_per_thread * (cfg.num_threads - 1);
-}
-
 // ---------------------------------------------------------------------------
 // Batched evaluation (FfSectionBatch). The section is compiled once into a
 // flat segment program (structure of arrays); grid points are evaluated
@@ -401,7 +393,7 @@ struct BSub {
 /// one is the straight-line SoA loop over the double-typed length vector.
 struct ScaledTab {
   double beta = 1.0;
-  std::vector<Cycles> seg;     ///< per segment: (Cycles)(len·β + 0.5)
+  std::vector<Cycles> seg;     ///< per segment: ff_scaled_length(len, β)
   std::vector<Cycles> task_w;  ///< per flat task: Σ seg_scaled × rep
 };
 
@@ -480,8 +472,7 @@ class FfSectionBatch::Impl {
       return it->second;
     }
     const ScaledTab& tab = scaled_table(beta);
-    const Cycles fork =
-        ov_.fork_base + ov_.fork_per_thread * (p.threads - 1);
+    const Cycles fork = ov_.fork_cost(p.threads);
     Cycles body;
     if (subs_[0].tasks_flat) {
       ++stats_.flat_evals;
@@ -595,10 +586,10 @@ class FfSectionBatch::Impl {
     tab.beta = beta;
     tab.seg.resize(segs_.size());
     // The SIMD-friendly inner loop: one multiply-add-truncate per segment
-    // over the contiguous double-typed length array. Must stay the exact
-    // expression FfEngine::step uses per node: (Cycles)(len·β + 0.5).
+    // over the contiguous double-typed length array, with FfEngine::step's
+    // rounding rule.
     for (std::size_t i = 0; i < segs_.size(); ++i) {
-      tab.seg[i] = static_cast<Cycles>(len_d_[i] * beta + 0.5);
+      tab.seg[i] = runtime::ff_scaled_length(len_d_[i], beta);
     }
     tab.task_w.assign(tasks_.size(), 0);
     for (std::size_t t = 0; t < tasks_.size(); ++t) {
@@ -643,37 +634,21 @@ class FfSectionBatch::Impl {
     plan.chunk = chunk;
     plan.iters.assign(threads, 0);
     plan.run_counts.assign(static_cast<std::size_t>(threads) * nruns, 0);
-    const auto add_range = [&](std::uint32_t cpu, std::uint64_t b,
-                               std::uint64_t e) {
-      plan.iters[cpu] += e - b;
-      std::uint32_t r = run_of(sub, b);
-      for (std::uint64_t i = b; i < e;) {
-        while (runs_[r].cum <= i) ++r;
-        const std::uint64_t span = std::min(e, runs_[r].cum) - i;
-        plan.run_counts[static_cast<std::size_t>(cpu) * nruns +
-                        (r - sub.run_begin)] += span;
-        i += span;
-      }
-    };
     // Mirrors spawn_context's static pre-assignment at the top level
-    // (parent_cpu 0, so rank r lands on CPU r) with the iter_sched.cpp
-    // range arithmetic inlined verbatim.
-    if (schedule == OmpSchedule::StaticCyclic) {
-      for (std::uint32_t rank = 0; rank < threads; ++rank) {
-        for (std::uint64_t k = rank; k * chunk < n; k += threads) {
-          add_range(rank, k * chunk, std::min(n, k * chunk + chunk));
-        }
-      }
-    } else {  // StaticBlock: one contiguous block per rank
-      const std::uint64_t base = n / threads;
-      const std::uint64_t extra = n % threads;
-      for (std::uint32_t rank = 0; rank < threads; ++rank) {
-        const std::uint64_t begin =
-            rank * base + std::min<std::uint64_t>(rank, extra);
-        const std::uint64_t size = base + (rank < extra ? 1 : 0);
-        if (size != 0) add_range(rank, begin, begin + size);
-      }
-    }
+    // (parent_cpu 0, so rank r lands on CPU r).
+    runtime::for_each_static_range(
+        schedule, n, threads, chunk,
+        [&](std::uint32_t cpu, runtime::IterRange range) {
+          plan.iters[cpu] += range.size();
+          std::uint32_t r = run_of(sub, range.begin);
+          for (std::uint64_t i = range.begin; i < range.end;) {
+            while (runs_[r].cum <= i) ++r;
+            const std::uint64_t span = std::min(range.end, runs_[r].cum) - i;
+            plan.run_counts[static_cast<std::size_t>(cpu) * nruns +
+                            (r - sub.run_begin)] += span;
+            i += span;
+          }
+        });
     plans_.push_back(std::move(plan));
     return plans_.back();
   }
@@ -688,7 +663,7 @@ class FfSectionBatch::Impl {
       // Per-CPU time is a pure sum of dispatch and work terms; uint64
       // addition commutes, so regrouping by run is bit-identical to the
       // scalar engine's per-iteration accumulation.
-      Cycles total = plan.iters[cpu] * ov_.static_dispatch;
+      Cycles total = plan.iters[cpu] * ov_.iteration_dispatch(plan.schedule);
       for (std::uint32_t r = 0; r < nruns; ++r) {
         const std::uint64_t cnt =
             plan.run_counts[static_cast<std::size_t>(cpu) * nruns + r];
@@ -709,12 +684,10 @@ class FfSectionBatch::Impl {
     const std::uint64_t n = sub.trips;
     if (n == 0) return ov_.join_barrier;
     free_.assign(threads, 0);
-    // A pull always pays the dynamic dispatch; re-queued chunk-mates pay the
-    // schedule's per-start dispatch (static under guided) — the scalar
-    // engine's exact charging rules.
-    const Cycles rest_disp = schedule == OmpSchedule::Dynamic
-                                 ? ov_.dynamic_dispatch
-                                 : ov_.static_dispatch;
+    // A pull pays the per-range dispatch, re-queued chunk-mates the
+    // per-iteration one — the scalar engine's exact charging rules.
+    const Cycles pull_disp = ov_.range_dispatch(schedule);
+    const Cycles rest_disp = ov_.iteration_dispatch(schedule);
     std::uint64_t next = 0;
     std::uint32_t r = sub.run_begin;
     Cycles end = 0;
@@ -723,17 +696,13 @@ class FfSectionBatch::Impl {
       for (std::uint32_t k = 1; k < threads; ++k) {
         if (free_[k] < free_[kmin]) kmin = k;
       }
-      const std::uint64_t take =
-          schedule == OmpSchedule::Dynamic
-              ? chunk
-              : std::max(chunk, (n - next) / threads);
-      const std::uint64_t b = next;
-      const std::uint64_t e = std::min(n, next + take);
-      next = e;
-      Cycles cost = ov_.dynamic_dispatch + (e - b - 1) * rest_disp;
-      for (std::uint64_t i = b; i < e;) {
+      const runtime::IterRange fetch =
+          runtime::counter_fetch(schedule, chunk, next, n, threads);
+      next = fetch.end;
+      Cycles cost = pull_disp + (fetch.size() - 1) * rest_disp;
+      for (std::uint64_t i = fetch.begin; i < fetch.end;) {
         while (runs_[r].cum <= i) ++r;
-        const std::uint64_t span = std::min(e, runs_[r].cum) - i;
+        const std::uint64_t span = std::min(fetch.end, runs_[r].cum) - i;
         cost += span * tab.task_w[runs_[r].task];
         i += span;
       }
@@ -833,56 +802,32 @@ class FfSectionBatch::Impl {
       gdyn_.push_back(ci);
       return;
     }
-    // Static pre-assignment: rank r onto CPU (parent_cpu + r) mod t, with
-    // the iter_sched.cpp range arithmetic inlined verbatim.
+    // Static pre-assignment: rank r onto CPU (parent_cpu + r) mod t.
     const BSub& sub = subs_[sub_idx];
-    const std::uint64_t n = sub.trips;
-    const std::uint32_t t = g_threads_;
-    const auto enqueue_range = [&](std::uint32_t cpu, std::uint64_t b,
-                                   std::uint64_t e) {
-      std::uint32_t r = run_of(sub, b);
-      for (std::uint64_t i = b; i < e; ++i) {
-        while (runs_[r].cum <= i) ++r;
-        GCursor c;
-        c.ctx = ci;
-        set_task(c, runs_[r].task);
-        c.ready_at = time;
-        c.charge_dispatch = 1;
-        gcpus_[cpu].back.push_back(c);
-      }
-    };
-    if (g_schedule_ == OmpSchedule::StaticCyclic) {
-      for (std::uint32_t rank = 0; rank < t; ++rank) {
-        const std::uint32_t cpu = (parent_cpu + rank) % t;
-        for (std::uint64_t k = rank; k * g_chunk_ < n; k += t) {
-          enqueue_range(cpu, k * g_chunk_,
-                        std::min(n, k * g_chunk_ + g_chunk_));
-        }
-      }
-    } else {
-      const std::uint64_t base = n / t;
-      const std::uint64_t extra = n % t;
-      for (std::uint32_t rank = 0; rank < t; ++rank) {
-        const std::uint32_t cpu = (parent_cpu + rank) % t;
-        const std::uint64_t begin =
-            rank * base + std::min<std::uint64_t>(rank, extra);
-        const std::uint64_t size = base + (rank < extra ? 1 : 0);
-        if (size != 0) enqueue_range(cpu, begin, begin + size);
-      }
-    }
+    runtime::for_each_static_range(
+        g_schedule_, sub.trips, g_threads_, g_chunk_,
+        [&](std::uint32_t rank, runtime::IterRange range) {
+          const std::uint32_t cpu = (parent_cpu + rank) % g_threads_;
+          std::uint32_t r = run_of(sub, range.begin);
+          for (std::uint64_t i = range.begin; i < range.end; ++i) {
+            while (runs_[r].cum <= i) ++r;
+            GCursor c;
+            c.ctx = ci;
+            set_task(c, runs_[r].task);
+            c.ready_at = time;
+            c.charge_dispatch = 1;
+            gcpus_[cpu].back.push_back(c);
+          }
+        });
   }
 
-  /// Dynamic/guided pull, mirroring DynamicScheduler/GuidedScheduler::next.
-  bool sched_pull(GCtx& ctx, std::uint64_t* b, std::uint64_t* e) {
+  /// Dynamic/guided pull, mirroring SharedCounterScheduler::next.
+  bool sched_pull(GCtx& ctx, runtime::IterRange* out) {
     const std::uint64_t n = subs_[ctx.sub].trips;
     if (ctx.next_iter >= n) return false;
-    const std::uint64_t take =
-        g_schedule_ == OmpSchedule::Dynamic
-            ? g_chunk_
-            : std::max(g_chunk_, (n - ctx.next_iter) / g_threads_);
-    *b = ctx.next_iter;
-    ctx.next_iter = std::min(n, ctx.next_iter + take);
-    *e = ctx.next_iter;
+    *out = runtime::counter_fetch(g_schedule_, g_chunk_, ctx.next_iter, n,
+                                  g_threads_);
+    ctx.next_iter = out->end;
     return true;
   }
 
@@ -915,9 +860,7 @@ class FfSectionBatch::Impl {
       }
       cpu.free_at = std::max(cpu.free_at, c.ready_at);
       if (c.charge_dispatch) {
-        cpu.free_at += g_schedule_ == OmpSchedule::Dynamic
-                           ? ov_.dynamic_dispatch
-                           : ov_.static_dispatch;
+        cpu.free_at += ov_.iteration_dispatch(g_schedule_);
         c.charge_dispatch = 0;
       }
       cpu.current = c;
@@ -928,20 +871,19 @@ class FfSectionBatch::Impl {
       const std::uint32_t ci = *it;
       GCtx& ctx = gctxs_[ci];
       if (ctx.done || ctx.unassigned == 0) continue;
-      std::uint64_t b = 0;
-      std::uint64_t e = 0;
-      if (!sched_pull(ctx, &b, &e)) continue;
-      ctx.unassigned -= e - b;
-      cpu.free_at =
-          std::max(cpu.free_at, ctx.spawn_time) + ov_.dynamic_dispatch;
+      runtime::IterRange range;
+      if (!sched_pull(ctx, &range)) continue;
+      ctx.unassigned -= range.size();
+      cpu.free_at = std::max(cpu.free_at, ctx.spawn_time) +
+                    ov_.range_dispatch(g_schedule_);
       const BSub& sub = subs_[ctx.sub];
-      std::uint32_t r = run_of(sub, b);
-      while (runs_[r].cum <= b) ++r;
+      std::uint32_t r = run_of(sub, range.begin);
+      while (runs_[r].cum <= range.begin) ++r;
       GCursor first;
       first.ctx = ci;
       set_task(first, runs_[r].task);
       first.charge_dispatch = 0;
-      for (std::uint64_t i = b + 1; i < e; ++i) {
+      for (std::uint64_t i = range.begin + 1; i < range.end; ++i) {
         while (runs_[r].cum <= i) ++r;
         GCursor rest;
         rest.ctx = ci;
@@ -1026,7 +968,7 @@ class FfSectionBatch::Impl {
     g_chunk_ = chunk;
     g_dynamic_ = schedule == OmpSchedule::Dynamic ||
                  schedule == OmpSchedule::Guided;
-    g_fork_ = ov_.fork_base + ov_.fork_per_thread * (threads - 1);
+    g_fork_ = ov_.fork_cost(threads);
     g_scaled_ = &tab;
     if (gcpus_.size() < threads) gcpus_.resize(threads);
     for (std::uint32_t k = 0; k < threads; ++k) {
@@ -1110,7 +1052,8 @@ FfResult emulate_ff_section(const tree::CompiledTree& ct,
   r.serial_cycles =
       ct.section_aggregates(section).total_leaf_work * ct.repeat(sec);
   FfEngine engine(runtime::FlatTreeView{&ct}, cfg);
-  r.parallel_cycles = fork_cost(cfg) + engine.run_section(sec);
+  r.parallel_cycles =
+      cfg.overheads.fork_cost(cfg.num_threads) + engine.run_section(sec);
   return r;
 }
 

@@ -13,8 +13,8 @@
 // plus the count/total/min/max atomics (same discipline as obs::Timer), so
 // per-request recording from every connection/worker thread needs no lock.
 // merge() adds another histogram's buckets in, which is how per-thread
-// histograms collapse into one (bench_serve_throughput's client fleet) and
-// how sharded registries would aggregate.
+// histograms collapse into one (say, one per client thread of a load
+// generator) and how sharded registries would aggregate.
 #pragma once
 
 #include <atomic>

@@ -30,10 +30,10 @@ class StaticCyclicScheduler final : public IterScheduler {
 
   std::optional<IterRange> next(std::uint32_t rank) override {
     const std::uint64_t k = next_chunk_.at(rank);
-    const std::uint64_t begin = k * chunk_;
-    if (begin >= n_) return std::nullopt;
+    const IterRange r = cyclic_chunk(k, chunk_, n_);
+    if (r.size() == 0) return std::nullopt;
     next_chunk_[rank] = k + t_;
-    return IterRange{begin, std::min(n_, begin + chunk_)};
+    return r;
   }
 
  private:
@@ -43,8 +43,7 @@ class StaticCyclicScheduler final : public IterScheduler {
   std::vector<std::uint64_t> next_chunk_;
 };
 
-/// schedule(static): one contiguous block per thread, sized as OpenMP
-/// implementations do (first n%t threads get one extra iteration).
+/// schedule(static): each rank's static_block(), handed out once.
 class StaticBlockScheduler final : public IterScheduler {
  public:
   StaticBlockScheduler(std::uint64_t n, std::uint32_t t) : n_(n), t_(t) {}
@@ -53,13 +52,9 @@ class StaticBlockScheduler final : public IterScheduler {
     if (rank >= t_ || given_.size() <= rank) given_.resize(t_, false);
     if (given_[rank]) return std::nullopt;
     given_[rank] = true;
-    const std::uint64_t base = n_ / t_;
-    const std::uint64_t extra = n_ % t_;
-    const std::uint64_t begin =
-        rank * base + std::min<std::uint64_t>(rank, extra);
-    const std::uint64_t size = base + (rank < extra ? 1 : 0);
-    if (size == 0) return std::nullopt;
-    return IterRange{begin, begin + size};
+    const IterRange r = static_block(rank, t_, n_);
+    if (r.size() == 0) return std::nullopt;
+    return r;
   }
 
  private:
@@ -68,47 +63,28 @@ class StaticBlockScheduler final : public IterScheduler {
   std::vector<bool> given_;
 };
 
-/// schedule(dynamic, chunk): shared counter, first come first served.
-class DynamicScheduler final : public IterScheduler {
+/// schedule(dynamic, chunk) and schedule(guided, chunk): a shared counter,
+/// first come first served. Each fetch is a counter_fetch(), so guided
+/// chunks start large and shrink to a fine-grained tail — the standard
+/// OpenMP guided self-scheduling.
+class SharedCounterScheduler final : public IterScheduler {
  public:
-  DynamicScheduler(std::uint64_t n, std::uint64_t chunk)
-      : n_(n), chunk_(std::max<std::uint64_t>(1, chunk)) {}
+  SharedCounterScheduler(OmpSchedule kind, std::uint64_t n, std::uint32_t t,
+                         std::uint64_t chunk)
+      : kind_(kind), n_(n), t_(t), chunk_(std::max<std::uint64_t>(1, chunk)) {}
 
   std::optional<IterRange> next(std::uint32_t /*rank*/) override {
     if (next_ >= n_) return std::nullopt;
-    const std::uint64_t begin = next_;
-    next_ = std::min(n_, next_ + chunk_);
-    return IterRange{begin, next_};
+    const IterRange r = counter_fetch(kind_, chunk_, next_, n_, t_);
+    next_ = r.end;
+    return r;
   }
 
  private:
-  std::uint64_t n_;
-  std::uint64_t chunk_;
-  std::uint64_t next_ = 0;
-};
-
-/// schedule(guided, chunk): each fetch takes remaining/num_threads
-/// iterations (at least `chunk`), so early chunks are large and the tail is
-/// fine-grained — the standard OpenMP guided self-scheduling.
-class GuidedScheduler final : public IterScheduler {
- public:
-  GuidedScheduler(std::uint64_t n, std::uint32_t t, std::uint64_t chunk)
-      : n_(n), t_(t), min_chunk_(std::max<std::uint64_t>(1, chunk)) {}
-
-  std::optional<IterRange> next(std::uint32_t /*rank*/) override {
-    if (next_ >= n_) return std::nullopt;
-    const std::uint64_t remaining = n_ - next_;
-    const std::uint64_t take =
-        std::max(min_chunk_, remaining / t_);
-    const std::uint64_t begin = next_;
-    next_ = std::min(n_, next_ + take);
-    return IterRange{begin, next_};
-  }
-
- private:
+  OmpSchedule kind_;
   std::uint64_t n_;
   std::uint32_t t_;
-  std::uint64_t min_chunk_;
+  std::uint64_t chunk_;
   std::uint64_t next_ = 0;
 };
 
@@ -128,10 +104,9 @@ std::unique_ptr<IterScheduler> make_scheduler(OmpSchedule kind,
     case OmpSchedule::StaticBlock:
       return std::make_unique<StaticBlockScheduler>(total_iters, num_threads);
     case OmpSchedule::Dynamic:
-      return std::make_unique<DynamicScheduler>(total_iters, chunk);
     case OmpSchedule::Guided:
-      return std::make_unique<GuidedScheduler>(total_iters, num_threads,
-                                               chunk);
+      return std::make_unique<SharedCounterScheduler>(kind, total_iters,
+                                                      num_threads, chunk);
   }
   throw std::invalid_argument("unknown schedule kind");
 }

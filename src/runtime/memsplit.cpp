@@ -19,9 +19,7 @@ MemSplit split_from_counters(const tree::SectionCounters* counters,
 
 machine::Op LeafCostModel::leaf_op(Cycles length) const {
   if (mode == Mode::Synth) {
-    const auto delayed = static_cast<Cycles>(
-        std::llround(static_cast<double>(length) * burden));
-    return machine::Op::exec(delayed, 0, 0.0);
+    return machine::Op::exec(synth_scaled_length(length, burden), 0, 0.0);
   }
   const auto mem = static_cast<Cycles>(
       std::llround(static_cast<double>(length) * split.mem_fraction));

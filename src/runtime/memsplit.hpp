@@ -12,10 +12,25 @@
 // memory effects.
 #pragma once
 
+#include <cmath>
+
 #include "machine/machine.hpp"
 #include "tree/node.hpp"
 
 namespace pprophet::runtime {
+
+// β scaling of a node length. The two rules part by a cycle where len·β + 0.5
+// rounds up in floating point (ROADMAP item 3).
+/// FF: (Cycles)(len·β + 0.5). The length comes as a double so the batched
+/// FF's table loop stays a straight multiply-add over a double array.
+inline Cycles ff_scaled_length(double len, double beta) {
+  return static_cast<Cycles>(len * beta + 0.5);
+}
+
+/// Synthesizer: FakeDelay(len × β), rounded by llround.
+inline Cycles synth_scaled_length(Cycles len, double beta) {
+  return static_cast<Cycles>(std::llround(static_cast<double>(len) * beta));
+}
 
 /// Per-top-level-section execution character, derived from its counters.
 struct MemSplit {

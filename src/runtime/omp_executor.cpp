@@ -84,14 +84,6 @@ struct OmpRuntime {
     }
     return leaf;
   }
-
-  Cycles dispatch_cost() const {
-    // Pull-based policies (dynamic, guided) pay the shared-counter cost.
-    return cfg.schedule == OmpSchedule::Dynamic ||
-                   cfg.schedule == OmpSchedule::Guided
-               ? cfg.overheads.dynamic_dispatch
-               : cfg.overheads.static_dispatch;
-  }
 };
 
 class OmpBody final : public machine::ThreadBody {
@@ -189,8 +181,7 @@ class OmpBody final : public machine::ThreadBody {
         const LeafCostModel leaf =
             f.top_level ? rt_.top_level_leaf(c) : f.leaf;
         TeamContext* team = rt_.open_team(m, c, leaf);
-        pending_.push_back(Op::exec(
-            ov.fork_base + ov.fork_per_thread * (rt_.cfg.num_threads - 1)));
+        pending_.push_back(Op::exec(ov.fork_cost(rt_.cfg.num_threads)));
         for (std::uint32_t r = 1; r < rt_.cfg.num_threads; ++r) {
           m.spawn_thread(std::make_unique<OmpBody>(rt_, team, r));
         }
@@ -223,7 +214,8 @@ class OmpBody final : public machine::ThreadBody {
         f.range = *r;
         f.next_iter = r->begin;
         f.range_active = true;
-        pending_.push_back(Op::exec(rt_.dispatch_cost()));
+        pending_.push_back(Op::exec(
+            rt_.cfg.overheads.range_dispatch(rt_.cfg.schedule)));
         return;
       }
       case TeamFrame::Phase::Arrive: {

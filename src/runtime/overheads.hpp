@@ -10,6 +10,7 @@
 // arrival spread are emergent.
 #pragma once
 
+#include "runtime/iter_sched.hpp"
 #include "util/types.hpp"
 
 namespace pprophet::runtime {
@@ -28,6 +29,26 @@ struct OmpOverheads {
   /// Critical-section entry / exit library cost.
   Cycles lock_acquire = 100;
   Cycles lock_release = 60;
+
+  /// Charged to the master when it forks a team of `threads`.
+  Cycles fork_cost(CoreCount threads) const {
+    return fork_base + fork_per_thread * (threads - 1);
+  }
+  /// The replays' dispatch charge: once per range a team member fetches.
+  /// Pull-based policies (dynamic, guided) pay the shared-counter cost.
+  Cycles range_dispatch(OmpSchedule s) const {
+    return s == OmpSchedule::Dynamic || s == OmpSchedule::Guided
+               ? dynamic_dispatch
+               : static_dispatch;
+  }
+  /// The FF's dispatch charge: once per iteration a virtual CPU starts,
+  /// except the first of a shared-counter fetch, which pays
+  /// range_dispatch() instead. It differs from the replays' per-range rule
+  /// for ranges of more than one iteration (static blocks, chunk > 1) and
+  /// for guided, whose chunk-mates pay static_dispatch (ROADMAP item 3).
+  Cycles iteration_dispatch(OmpSchedule s) const {
+    return s == OmpSchedule::Dynamic ? dynamic_dispatch : static_dispatch;
+  }
 };
 
 struct CilkOverheads {

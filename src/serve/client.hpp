@@ -1,7 +1,7 @@
 // Blocking client for the prediction service: one connection (unix-domain
 // or TCP), synchronous request/response over the length-prefixed JSON
 // framing of serve/protocol.hpp. Used by `pprophet client`, the loopback
-// tests, and bench_serve_throughput.
+// tests, and perfbench's serve workload.
 #pragma once
 
 #include <string>

@@ -496,9 +496,12 @@ void Server::execute(Job& job) {
   g_inflight_.set(static_cast<double>(
       inflight_.fetch_add(1, std::memory_order_relaxed) + 1));
   JsonValue response;
+  // Whole ms queued: enqueued + a huge budget would overflow the clock.
   if (job.deadline_ms > 0 &&
-      std::chrono::steady_clock::now() >
-          job.enqueued + std::chrono::milliseconds(job.deadline_ms)) {
+      static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::milliseconds>(
+              std::chrono::steady_clock::now() - job.enqueued)
+              .count()) >= job.deadline_ms) {
     response = error_response(job.op, kErrDeadline,
                               "deadline of " + std::to_string(job.deadline_ms) +
                                   " ms expired in queue");

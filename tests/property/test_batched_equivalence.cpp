@@ -8,15 +8,19 @@
 // dump of the offending tree via seed_trace().
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "core/prophet.hpp"
 #include "core/sweep.hpp"
 #include "emul/ff.hpp"
 #include "emul/suitability.hpp"
+#include "machine/timeline.hpp"
 #include "random_trees.hpp"
 #include "tree/compile.hpp"
+#include "util/fnv.hpp"
 
 namespace pprophet::emul {
 namespace {
@@ -254,6 +258,83 @@ TEST_P(BatchedEquivalence, IncrementalWalkMatchesFromScratch) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BatchedEquivalence,
                          ::testing::Range<std::uint64_t>(1, 9));
+
+// The tests above prove batch == scalar; this one pins the scalar numbers
+// themselves, so a change that moves both engines at once (a shared cost
+// rule in runtime/iter_sched.hpp or runtime/overheads.hpp, a dedup of the
+// two FF implementations) cannot pass unnoticed. The digests change only
+// with a deliberate re-baseline of the FF semantics. Suitability hashes its
+// parallel cycles only; its serial cycles are the FF's.
+constexpr CoreCount kPinThreads[] = {1, 2, 3, 4, 7, 12};
+constexpr std::uint64_t kPinSeeds = 80;  // random_tree seeds 1..kPinSeeds
+
+ProgramTree pin_tree(std::uint64_t seed) {
+  ProgramTree t = tree::random_tree(seed);
+  util::Xoshiro256 rng(seed ^ 0xbeefULL);
+  for (const auto& child : t.root->children()) {
+    if (child->kind() != tree::NodeKind::Sec) continue;
+    for (const CoreCount threads : kPinThreads) {
+      child->set_burden(threads, 1.0 + 2.0 * rng.uniform_double());
+    }
+  }
+  return t;
+}
+
+TEST(PinnedNumbers, FfSuitabilityAndTimelineDigests) {
+  util::Fnv64 ff;
+  util::Fnv64 suit;
+  util::Fnv64 spans;
+  std::uint64_t points = 0;
+  std::uint64_t span_count = 0;
+  for (std::uint64_t seed = 1; seed <= kPinSeeds; ++seed) {
+    const CompiledTree ct = CompiledTree::compile(pin_tree(seed));
+    for (std::uint32_t s = 0; s < ct.section_count(); ++s) {
+      for (const OmpSchedule sched : kSchedules) {
+        for (const CoreCount threads : kPinThreads) {
+          for (const std::uint64_t chunk : kChunks) {
+            for (const bool burden : {false, true}) {
+              FfConfig cfg;
+              cfg.num_threads = threads;
+              cfg.schedule = sched;
+              cfg.chunk = chunk;
+              cfg.apply_burden = burden;
+              machine::Timeline tl;
+              const bool record = chunk == 2 && !burden;
+              if (record) cfg.timeline = &tl;
+              const FfResult r = emulate_ff_section(ct, s, cfg);
+              ff.u64(r.parallel_cycles);
+              ff.u64(r.serial_cycles);
+              ++points;
+              if (!record) continue;
+              std::vector<machine::TimelineSpan> v = tl.spans();
+              std::sort(v.begin(), v.end(), [](const auto& a, const auto& b) {
+                return std::tie(a.thread, a.begin, a.end, a.kind) <
+                       std::tie(b.thread, b.begin, b.end, b.kind);
+              });
+              for (const machine::TimelineSpan& sp : v) {
+                spans.u64(sp.thread);
+                spans.u64(sp.begin);
+                spans.u64(sp.end);
+                spans.u64(static_cast<std::uint64_t>(sp.kind));
+              }
+              span_count += v.size();
+            }
+          }
+        }
+      }
+      for (const CoreCount threads : kPinThreads) {
+        SuitabilityConfig cfg;
+        cfg.num_threads = threads;
+        suit.u64(emulate_suitability_section(ct, s, cfg).parallel_cycles);
+      }
+    }
+  }
+  EXPECT_EQ(points, 37'632u);
+  EXPECT_EQ(span_count, 677'677u);
+  EXPECT_EQ(ff.h, 0xa98b8aeab15322c3ULL);
+  EXPECT_EQ(suit.h, 0xee69128a09620785ULL);
+  EXPECT_EQ(spans.h, 0x9cae8fcd70a234ddULL);
+}
 
 }  // namespace
 }  // namespace pprophet::emul

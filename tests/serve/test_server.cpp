@@ -465,6 +465,30 @@ TEST_F(ServerTest, QueuedDeadlineExpiresIntoDeadlineExceeded) {
   server.stop();
 }
 
+// A budget far beyond any queue wait is a budget, not an overflow: the
+// expiry check compares whole milliseconds queued, so a deadline of 10^13 ms
+// (past the ~9.2e12 ms a steady_clock time point can add) is served.
+TEST_F(ServerTest, HugeDeadlineIsServed) {
+  Server server(base_config("huge_deadline"));
+  server.start();
+  Client c;
+  c.connect(server.config().socket_path);
+  const std::string key = c.upload(sample_pptb());
+
+  const int fd = raw_connect(server.config().socket_path);
+  ASSERT_GE(fd, 0);
+  write_frame(fd, "{\"op\":\"sweep\",\"v\":2,\"key\":\"" + key +
+                      "\",\"threads\":[2,4],"
+                      "\"deadline_ms\":10000000000000}");
+  std::string payload;
+  ASSERT_TRUE(read_frame(fd, payload));
+  ::close(fd);
+  const JsonValue r = json_parse(payload);
+  EXPECT_TRUE(r.at("ok").as_bool()) << payload;
+  EXPECT_EQ(server.stats().deadline_exceeded, 0u);
+  server.stop();
+}
+
 TEST_F(ServerTest, SigtermDrainsInFlightRequestsBeforeExit) {
   ServerConfig cfg = base_config("sigterm");
   cfg.workers = 1;

@@ -8,8 +8,11 @@
 # Per sanitizer (own build tree, build-ci-<san>):
 #   - `ctest -L 'batched|concurrency'` — the differential harness that pins
 #     the batched FF/Suitability evaluators and the sweep's one evaluation
-#     path to the scalar engines and per-point predict
-#     (tests/property/test_batched_equivalence.cpp) plus every suite
+#     path to the scalar engines and per-point predict, and pins the scalar
+#     FF/Suitability numbers and timeline spans by digest
+#     (tests/property/test_batched_equivalence.cpp); the FF == Real == SYN
+#     agreement property on flat sections
+#     (tests/property/test_ff_des_agreement.cpp); plus every suite
 #     that drives the sweep worker pool, the memo, the metrics registry and
 #     the serve daemon.
 #   - `ctest -L perf` — the self-checking benches: per-point predict vs

@@ -22,6 +22,11 @@ using tree::NodeKind;
 // Like the OpenMP executor, the replay reads the compiled tree through
 // FlatTreeView (runtime/tree_view.hpp).
 
+/// An Exec whose progress is integer cycles: no memory share, no traffic.
+bool compute_only(const Op& op) {
+  return op.kind == Op::Kind::Exec && op.mem == 0 && op.traffic_mbps == 0.0;
+}
+
 /// Join counter for one spawned fan-out (a Sec's iterations). pending counts
 /// outstanding items; the event fires when it reaches zero.
 struct Join {
@@ -157,9 +162,11 @@ class CilkBody final : public machine::ThreadBody {
     stack_.push_back(TaskFrame{walk, serial_leaf, 0, nullptr, top_level});
   }
 
+  /// Folds like OmpBody::next: while the queue holds one compute-only
+  /// Exec, the next step runs now if it stays within this worker's frames.
   std::optional<Op> next(Machine& m, ThreadId self) override {
     while (true) {
-      if (!pending_.empty()) {
+      if (!pending_.empty() && !fold_next_step()) {
         const Op op = pending_.front();
         pending_.pop_front();
         return op;
@@ -169,7 +176,7 @@ class CilkBody final : public machine::ThreadBody {
           // Master done: the program is complete (all syncs resolved).
           rt_.program_done = true;
           if (rt_.idle_evt != 0) {
-            pending_.push_back(Op::notify(rt_.idle_evt));
+            emit(Op::notify(rt_.idle_evt));
             rt_.idle_evt = 0;
             continue;
           }
@@ -209,16 +216,50 @@ class CilkBody final : public machine::ThreadBody {
 
   using Frame = std::variant<TaskFrame, ItemFrame, SyncFrame>;
 
+  /// Queues `op`; a compute-only Exec right behind another one joins it
+  /// (see OmpBody::emit).
+  void emit(const Op& op) {
+    if (!pending_.empty() && compute_only(pending_.back()) &&
+        compute_only(op)) {
+      pending_.back().compute += op.compute;
+      return;
+    }
+    pending_.push_back(op);
+  }
+
+  /// True if the queue holds one compute-only Exec and the next step()
+  /// stays within this worker's frames: a task walk's cursor or repeat
+  /// advance, U or L leaf or finished-frame pop, or the next iteration of
+  /// an item that is done splitting. Anything that touches the deques, a
+  /// join, the idle latch or program_done is not.
+  bool fold_next_step() const {
+    if (pending_.size() != 1 || !compute_only(pending_.front()) ||
+        stack_.empty()) {
+      return false;
+    }
+    if (const auto* task = std::get_if<TaskFrame>(&stack_.back())) {
+      if (task->open_join != nullptr) return false;
+      const FlatTreeView& view = rt_.view;
+      if (view.cursor_done(task->walk)) return true;
+      const NodeRef c = view.cursor_node(task->walk);
+      return task->rep_done >= view.repeat(c) ||
+             view.kind(c) == NodeKind::U || view.kind(c) == NodeKind::L;
+    }
+    const auto* item = std::get_if<ItemFrame>(&stack_.back());
+    return item != nullptr && item->counted && item->split_done &&
+           item->cur < item->item.end;
+  }
+
   void add_synth_overhead(Cycles c) {
     if (c == 0) return;
-    pending_.push_back(Op::exec(c));
+    emit(Op::exec(c));
     rt_.track_overhead(rank_, c);
   }
 
   /// Wakes idle workers after pushing items (rotates the idle latch).
   void wake_sleepers() {
     if (rt_.idle_evt != 0) {
-      pending_.push_back(Op::notify(rt_.idle_evt));
+      emit(Op::notify(rt_.idle_evt));
       rt_.idle_evt = 0;
     }
   }
@@ -236,7 +277,7 @@ class CilkBody final : public machine::ThreadBody {
     item.join = join;
     item.leaf = leaf;
     rt_.push_item(rank_, item);
-    pending_.push_back(Op::exec(rt_.cfg.overheads.spawn));
+    emit(Op::exec(rt_.cfg.overheads.spawn));
     wake_sleepers();
     f.open_join = join;
     (void)m;
@@ -265,15 +306,15 @@ class CilkBody final : public machine::ThreadBody {
     switch (view.kind(c)) {
       case NodeKind::U:
         if (rt_.synth()) add_synth_overhead(rt_.mode.synth.access_node);
-        pending_.push_back(f.leaf.leaf_op(view.length(c)));
+        emit(f.leaf.leaf_op(view.length(c)));
         return;
       case NodeKind::L:
         if (rt_.synth()) add_synth_overhead(rt_.mode.synth.access_node);
-        pending_.push_back(Op::exec(ov.lock_acquire));
-        pending_.push_back(Op::acquire(view.lock_id(c)));
-        pending_.push_back(f.leaf.leaf_op(view.length(c)));
-        pending_.push_back(Op::release(view.lock_id(c)));
-        pending_.push_back(Op::exec(ov.lock_release));
+        emit(Op::exec(ov.lock_acquire));
+        emit(Op::acquire(view.lock_id(c)));
+        emit(f.leaf.leaf_op(view.length(c)));
+        emit(Op::release(view.lock_id(c)));
+        emit(Op::exec(ov.lock_release));
         return;
       case NodeKind::Sec: {
         if (rt_.synth()) add_synth_overhead(rt_.mode.synth.recursive_call);
@@ -292,7 +333,7 @@ class CilkBody final : public machine::ThreadBody {
     Join* j = f.item.join;
     assert(j->pending > 0);
     --j->pending;
-    if (j->pending == 0) pending_.push_back(Op::notify(j->evt));
+    if (j->pending == 0) emit(Op::notify(j->evt));
     // Any completion may unblock a syncing worker that found nothing to
     // steal earlier: rotate the idle latch.
     wake_sleepers();
@@ -313,7 +354,7 @@ class CilkBody final : public machine::ThreadBody {
         half.begin = mid;
         ++f.item.join->pending;
         rt_.push_item(rank_, half);
-        pending_.push_back(Op::exec(rt_.cfg.overheads.loop_split));
+        emit(Op::exec(rt_.cfg.overheads.loop_split));
         wake_sleepers();
         f.item.end = mid;
         if (f.cur < f.item.begin) f.cur = f.item.begin;
@@ -341,7 +382,7 @@ class CilkBody final : public machine::ThreadBody {
       return true;
     }
     if (auto stolen = rt_.steal(rank_)) {
-      pending_.push_back(Op::exec(rt_.cfg.overheads.steal));
+      emit(Op::exec(rt_.cfg.overheads.steal));
       ItemFrame f;
       f.item = stolen->first;
       stack_.push_back(f);
@@ -360,7 +401,7 @@ class CilkBody final : public machine::ThreadBody {
     // the join event: new stealable work (pushed by a thief splitting our
     // range) must wake us too, or we would idle while work queues up.
     if (rt_.idle_evt == 0) rt_.idle_evt = m.make_event();
-    pending_.push_back(Op::wait(rt_.idle_evt));
+    emit(Op::wait(rt_.idle_evt));
   }
 
   /// Idle loop for workers with no frames. Returns false to exit.
@@ -369,12 +410,12 @@ class CilkBody final : public machine::ThreadBody {
     if (acquire_work()) return true;
     ++idle_probes_;
     if (idle_probes_ < 2) {
-      pending_.push_back(Op::exec(rt_.cfg.overheads.idle_probe));
+      emit(Op::exec(rt_.cfg.overheads.idle_probe));
       return true;
     }
     idle_probes_ = 0;
     if (rt_.idle_evt == 0) rt_.idle_evt = m.make_event();
-    pending_.push_back(Op::wait(rt_.idle_evt));
+    emit(Op::wait(rt_.idle_evt));
     return true;
   }
 

@@ -20,6 +20,11 @@ using tree::NodeKind;
 // The replay reads the compiled tree through FlatTreeView
 // (runtime/tree_view.hpp).
 
+/// An Exec whose progress is integer cycles: no memory share, no traffic.
+bool compute_only(const Op& op) {
+  return op.kind == Op::Kind::Exec && op.mem == 0 && op.traffic_mbps == 0.0;
+}
+
 /// Shared state of one forked parallel region.
 struct TeamContext {
   tree::NodeId sec{};
@@ -105,9 +110,15 @@ class OmpBody final : public machine::ThreadBody {
     stack_.push_back(TeamFrame{team, rank, /*is_master=*/false});
   }
 
+  /// Hands the machine the fewest ops that give the same schedule. While
+  /// the queue holds one compute-only Exec, the steps that touch only this
+  /// thread's frames run now rather than when it completes, and emit()
+  /// adds their compute to it: a static-schedule thread's run of SYN
+  /// iterations becomes one Exec. A Sec, an Arrive, a dynamic or guided
+  /// fetch, or a queued control op stops the fold (docs/INTERNALS.md).
   std::optional<Op> next(Machine& m, ThreadId self) override {
     while (true) {
-      if (!pending_.empty()) {
+      if (!pending_.empty() && !fold_next_step()) {
         const Op op = pending_.front();
         pending_.pop_front();
         return op;
@@ -141,9 +152,48 @@ class OmpBody final : public machine::ThreadBody {
 
   using Frame = std::variant<SeqFrame, TeamFrame>;
 
+  /// Queues `op`. A compute-only Exec right behind another one joins it:
+  /// back-to-back compute on one thread finishes at the same instant as
+  /// one op, and a preemption charges whichever op is in flight.
+  void emit(const Op& op) {
+    if (!pending_.empty() && compute_only(pending_.back()) &&
+        compute_only(op)) {
+      pending_.back().compute += op.compute;
+      return;
+    }
+    pending_.push_back(op);
+  }
+
+  /// True if the queue holds one compute-only Exec and the next step()
+  /// reads and writes only this thread's frames and its rank's
+  /// static-schedule state: a cursor or repeat advance, a U or L leaf, the
+  /// next iteration of an active range, a static fetch, or popping a
+  /// finished frame.
+  bool fold_next_step() const {
+    if (pending_.size() != 1 || !compute_only(pending_.front()) ||
+        stack_.empty()) {
+      return false;
+    }
+    if (const auto* seq = std::get_if<SeqFrame>(&stack_.back())) {
+      const FlatTreeView& view = rt_.view;
+      if (view.cursor_done(seq->walk)) return true;
+      const NodeRef c = view.cursor_node(seq->walk);
+      return seq->rep_done >= view.repeat(c) || view.kind(c) == NodeKind::U ||
+             view.kind(c) == NodeKind::L;
+    }
+    const auto* team = std::get_if<TeamFrame>(&stack_.back());
+    if (team == nullptr || team->phase == TeamFrame::Phase::Arrive) {
+      return false;
+    }
+    if (team->phase != TeamFrame::Phase::Fetch) return true;  // a pop
+    return (team->range_active && team->next_iter < team->range.end) ||
+           rt_.cfg.schedule == OmpSchedule::StaticCyclic ||
+           rt_.cfg.schedule == OmpSchedule::StaticBlock;
+  }
+
   void add_synth_overhead(ThreadId self, Cycles c) {
     if (c == 0) return;
-    pending_.push_back(Op::exec(c));
+    emit(Op::exec(c));
     rt_.track_overhead(self, c);
   }
 
@@ -164,15 +214,15 @@ class OmpBody final : public machine::ThreadBody {
     switch (view.kind(c)) {
       case NodeKind::U:
         if (rt_.synth()) add_synth_overhead(self, rt_.mode.synth.access_node);
-        pending_.push_back(f.leaf.leaf_op(view.length(c)));
+        emit(f.leaf.leaf_op(view.length(c)));
         return;
       case NodeKind::L:
         if (rt_.synth()) add_synth_overhead(self, rt_.mode.synth.access_node);
-        pending_.push_back(Op::exec(ov.lock_acquire));
-        pending_.push_back(Op::acquire(view.lock_id(c)));
-        pending_.push_back(f.leaf.leaf_op(view.length(c)));
-        pending_.push_back(Op::release(view.lock_id(c)));
-        pending_.push_back(Op::exec(ov.lock_release));
+        emit(Op::exec(ov.lock_acquire));
+        emit(Op::acquire(view.lock_id(c)));
+        emit(f.leaf.leaf_op(view.length(c)));
+        emit(Op::release(view.lock_id(c)));
+        emit(Op::exec(ov.lock_release));
         return;
       case NodeKind::Sec: {
         if (rt_.synth()) {
@@ -181,7 +231,7 @@ class OmpBody final : public machine::ThreadBody {
         const LeafCostModel leaf =
             f.top_level ? rt_.top_level_leaf(c) : f.leaf;
         TeamContext* team = rt_.open_team(m, c, leaf);
-        pending_.push_back(Op::exec(ov.fork_cost(rt_.cfg.num_threads)));
+        emit(Op::exec(ov.fork_cost(rt_.cfg.num_threads)));
         for (std::uint32_t r = 1; r < rt_.cfg.num_threads; ++r) {
           m.spawn_thread(std::make_unique<OmpBody>(rt_, team, r));
         }
@@ -214,17 +264,17 @@ class OmpBody final : public machine::ThreadBody {
         f.range = *r;
         f.next_iter = r->begin;
         f.range_active = true;
-        pending_.push_back(Op::exec(
+        emit(Op::exec(
             rt_.cfg.overheads.range_dispatch(rt_.cfg.schedule)));
         return;
       }
       case TeamFrame::Phase::Arrive: {
         ++team.arrivals;
         const bool last = team.arrivals == team.size;
-        if (last) pending_.push_back(Op::notify(team.done));
+        if (last) emit(Op::notify(team.done));
         if (view.barrier_at_end(team.sec)) {
-          pending_.push_back(Op::exec(rt_.cfg.overheads.join_barrier));
-          pending_.push_back(Op::wait(team.done));
+          emit(Op::exec(rt_.cfg.overheads.join_barrier));
+          emit(Op::wait(team.done));
         }
         // nowait: nobody blocks; stragglers just finish on their own.
         f.phase = TeamFrame::Phase::Done;

@@ -389,5 +389,45 @@ TEST(OmpExecutor, MoreThreadsThanCoresStillCorrectTotalWork) {
   EXPECT_LE(r.elapsed, 8000u + 200u);  // rounding from preemption
 }
 
+// --- Replay work counts: events the DES pops per section run ---
+
+/// One flat, lock-free section of n equal 1000-cycle tasks, replayed by
+/// the synthesizer at t = 4 threads on 4 cores with the default overheads.
+machine::MachineStats flat_syn_run(std::uint64_t n, OmpSchedule sched) {
+  TreeBuilder b;
+  b.begin_sec("loop");
+  b.begin_task("t").u(1000).end_task().repeat_last(n);
+  b.end_sec();
+  const CompiledTree t = CompiledTree::compile(b.finish());
+  OmpConfig c;
+  c.num_threads = 4;
+  c.schedule = sched;
+  return run_section_omp(t, 0, cores(4), c, ExecMode::synth_mode()).stats;
+}
+
+// A static fetch reads only the rank's own scheduler state, so each
+// thread's whole share (its block, or its static-cyclic chunks: dispatch,
+// then per iteration the access_node cost and the leaf's FakeDelay) folds
+// into one Exec: 4 share Execs plus 4 join-barrier Execs, whatever n is.
+// The master's fork Exec joins its share.
+TEST(OmpReplayWork, StaticSchedulesPopTheSameEventsAtAnyTripCount) {
+  for (const OmpSchedule sched :
+       {OmpSchedule::StaticBlock, OmpSchedule::StaticCyclic}) {
+    for (const std::uint64_t n : {64u, 4096u}) {
+      const machine::MachineStats s = flat_syn_run(n, sched);
+      EXPECT_EQ(s.events, 8u) << to_string(sched) << " n=" << n;
+      EXPECT_EQ(s.stale_events, 0u) << to_string(sched) << " n=" << n;
+    }
+  }
+}
+
+// A dynamic fetch reads the shared counter, so it waits for the thread's
+// previous Exec to complete: one Exec per iteration (dispatch, access_node
+// and leaf folded), plus the master's fork and 4 join barriers.
+TEST(OmpReplayWork, DynamicChunkOneGrowsWithTripCount) {
+  EXPECT_EQ(flat_syn_run(64, OmpSchedule::Dynamic).events, 64u + 5u);
+  EXPECT_EQ(flat_syn_run(4096, OmpSchedule::Dynamic).events, 4096u + 5u);
+}
+
 }  // namespace
 }  // namespace pprophet::runtime

@@ -34,8 +34,12 @@
 #   - `ctest -L des` — the discrete-event machine and the OpenMP/Cilk
 #     executors on it: hand-derived schedules and work counts, exact
 #     progress (tests/machine/test_exact_progress.cpp, with the seeded
-#     property over random compute-only scripts), the DES bit-identity
-#     golden and its popped-event budget. Per-thread segment state and an
+#     property over random compute-only scripts and the split-invariance
+#     property: cutting compute-only Execs into back-to-back pieces, beside
+#     locks, latches and preemption, changes no statistic and no timeline
+#     span, which the replays' Exec folding relies on), the replay work
+#     counts (OmpReplayWork.*), the DES bit-identity golden and its
+#     popped-event budget. Per-thread segment state and an
 #     intrusive push list threaded through the cores replace per-event
 #     due-time bookkeeping; that index-linked list is what a sanitizer
 #     should watch.

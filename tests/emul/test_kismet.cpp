@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "core/prophet.hpp"
+#include "../property/random_trees.hpp"
 #include "report/experiment.hpp"
 #include "tree/builder.hpp"
+#include "tree/compress.hpp"
+#include "util/fnv.hpp"
 
 namespace pprophet::emul {
 namespace {
@@ -122,6 +125,23 @@ TEST(Kismet, RepeatCountsExpand) {
   const KismetResult r = analyze_kismet(b.finish());
   EXPECT_EQ(r.serial_cycles, 10'000u);
   EXPECT_EQ(r.critical_path, 10u);
+}
+
+// Pins work and span over random trees, each as generated and compressed
+// (compression folds equal siblings into repeats), so a change to how
+// repeats are absorbed shows as a digest change.
+TEST(Kismet, RandomTreeDigest) {
+  util::Fnv64 h;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    ProgramTree t = tree::random_tree(seed);
+    for (int pass = 0; pass < 2; ++pass) {
+      if (pass == 1) tree::compress(t);
+      const KismetResult r = analyze_kismet(t);
+      h.u64(r.serial_cycles);
+      h.u64(r.critical_path);
+    }
+  }
+  EXPECT_EQ(h.h, 0x8ee809fd9fd71e55ULL);
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 
 #include "memmodel/burden.hpp"
 #include "memmodel/calibration.hpp"
+#include "machine/presets.hpp"
 #include "memmodel/classify.hpp"
 #include "tree/builder.hpp"
+#include "util/fnv.hpp"
 
 namespace pprophet::memmodel {
 namespace {
@@ -195,6 +197,42 @@ TEST(Classify, TrafficLevelThresholds) {
   moderate.cycles = 100'000'000;
   moderate.llc_misses = 312'500;
   EXPECT_EQ(traffic_level(moderate, opts), TrafficLevel::Moderate);
+}
+
+// Pins traffic_level and classify_serial on the paper machine over a grid
+// of counters that straddles the MPI floor and both traffic thresholds
+// (at 64e6 cycles, traffic in MB/s is (misses + writebacks) / 1000).
+TEST(Classify, WestmereGridDigest) {
+  ClassifyOptions opts;
+  opts.saturation_mbps = machine::westmere_sim().bandwidth.saturation_mbps;
+  util::Fnv64 h;
+  int levels[3] = {0, 0, 0};
+  for (const Cycles cycles : {0ULL, 64'000'000ULL, 100'000'000ULL,
+                              3'000'000'000ULL}) {
+    for (const std::uint64_t instructions :
+         {0ULL, 1'000'000ULL, 50'000'000ULL, 1'000'000'000ULL}) {
+      for (const std::uint64_t misses :
+           {0ULL, 999ULL, 1'000ULL, 1'001ULL, 50'000ULL, 179'999ULL,
+            180'000ULL, 180'001ULL, 312'500ULL, 719'999ULL, 720'000ULL,
+            720'001ULL, 1'200'000ULL, 10'000'000ULL}) {
+        for (const std::uint64_t writebacks : {0ULL, 1ULL, 100'000ULL}) {
+          tree::SectionCounters c;
+          c.cycles = cycles;
+          c.instructions = instructions;
+          c.llc_misses = misses;
+          c.llc_writebacks = writebacks;
+          const TrafficLevel level = traffic_level(c, opts);
+          ++levels[static_cast<int>(level)];
+          h.byte(static_cast<std::uint8_t>(level));
+          h.byte(static_cast<std::uint8_t>(classify_serial(c, opts)));
+        }
+      }
+    }
+  }
+  EXPECT_GT(levels[0], 0);
+  EXPECT_GT(levels[1], 0);
+  EXPECT_GT(levels[2], 0);
+  EXPECT_EQ(h.h, 0xb9f8be5b7303ad3aULL);
 }
 
 TEST(Classify, NamesAreHumanReadable) {

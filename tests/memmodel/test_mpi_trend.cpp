@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "util/fnv.hpp"
+
 namespace pprophet::memmodel {
 namespace {
 
@@ -146,6 +150,94 @@ TEST_F(MpiTrendTest, TruncationIsReported) {
   const TrendReport r = tr.loop_end();
   EXPECT_TRUE(r.truncated);
   EXPECT_EQ(r.accesses, 100u);
+}
+
+// Synthetic loops fed straight to on_access (no host heap address is
+// involved): each calls `touch(iteration, address, bytes)` per access.
+using Touch = std::function<void(std::uint64_t, std::uint64_t, std::size_t)>;
+using Loop = std::function<void(const Touch&)>;
+
+std::vector<Loop> synthetic_loops() {
+  constexpr std::uint64_t kBase = 1ULL << 32;
+  return {
+      // Streaming 512 KB in 8-byte elements, 128 chunky iterations.
+      [](const Touch& touch) {
+        for (std::uint64_t i = 0; i < 64 * 1024; ++i) {
+          touch(i / 512, kBase + 8 * i, 8);
+        }
+      },
+      // One element per iteration: every line shared by every thread.
+      [](const Touch& touch) {
+        for (std::uint64_t i = 0; i < 16 * 1024; ++i) {
+          touch(i, kBase + 8 * i, 8);
+        }
+      },
+      // 24 KB in 16 blocks, six passes, each iteration on its own block.
+      [](const Touch& touch) {
+        for (int pass = 0; pass < 6; ++pass) {
+          for (std::uint64_t i = 0; i < 16; ++i) {
+            for (std::uint64_t k = 0; k < 192; ++k) {
+              touch(i, kBase + 8 * (i * 192 + k), 8);
+            }
+          }
+        }
+      },
+      // Every iteration scans one shared 12 KB table.
+      [](const Touch& touch) {
+        for (int pass = 0; pass < 8; ++pass) {
+          for (std::uint64_t i = 0; i < 32; ++i) {
+            for (std::uint64_t k = 0; k < 1536; k += 8) {
+              touch(i, kBase + 8 * k, 8);
+            }
+          }
+        }
+      },
+      // 16 MB by lines in 48 blocks, two passes: beyond one 12 MB LLC,
+      // within the aggregate of two.
+      [](const Touch& touch) {
+        constexpr std::uint64_t kLines = (16ULL << 20) / 64;
+        for (int pass = 0; pass < 2; ++pass) {
+          for (std::uint64_t l = 0; l < kLines; ++l) {
+            touch(l / (kLines / 48), kBase + 64 * l, 64);
+          }
+        }
+      },
+      // Pseudo-random accesses of 0–200 bytes over 4 MB, some crossing
+      // lines, with an access before the first iteration mark.
+      [](const Touch& touch) {
+        touch(~0ULL, kBase, 8);
+        std::uint64_t x = 12345;
+        for (std::uint64_t k = 0; k < 30'000; ++k) {
+          x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+          touch(k / 37, kBase + ((x >> 20) & ((4ULL << 20) - 1)),
+                static_cast<std::size_t>((x >> 8) % 201));
+        }
+      },
+  };
+}
+
+// Pins serial MPI, parallel MPI and the access count of every synthetic
+// loop under a tiny and the default hierarchy.
+TEST_F(MpiTrendTest, SyntheticStreamDigest) {
+  TrendOptions defaults;
+  defaults.threads = 12;
+  defaults.sockets = 2;
+  util::Fnv64 h;
+  for (const TrendOptions& opts : {tiny_options(8, 2), defaults}) {
+    for (const Loop& loop : synthetic_loops()) {
+      MpiTrendAnalyzer tr(cpu, opts);
+      tr.loop_begin();
+      loop([&tr](std::uint64_t iter, std::uint64_t addr, std::size_t bytes) {
+        if (iter != ~0ULL) tr.iteration(iter);
+        tr.on_access(addr, bytes, vcpu::AccessKind::Read);
+      });
+      const TrendReport r = tr.loop_end();
+      h.f64(r.serial_mpi);
+      h.f64(r.parallel_mpi);
+      h.u64(r.accesses);
+    }
+  }
+  EXPECT_EQ(h.h, 0x91d6a7d7c46bf34cULL);
 }
 
 TEST_F(MpiTrendTest, EmptyLoopIsHarmless) {

@@ -7,6 +7,7 @@
 #include "kernel_suite.hpp"
 #include "memmodel/classify.hpp"
 #include "memmodel/mpi_trend.hpp"
+#include "report/experiment.hpp"
 #include "util/table.hpp"
 
 using namespace pprophet;
@@ -35,6 +36,7 @@ int main() {
 
   std::cout << "\nClassification of the benchmark suite (hottest section):\n";
   const auto& model = bench::paper_burden_model();
+  const machine::MachineConfig machine = report::paper_machine();
   util::Table table({"benchmark", "traffic", "class", "beta_12",
                      "real 12-core speedup"});
   for (const auto& entry : bench::paper_suite(1)) {
@@ -47,9 +49,8 @@ int main() {
       }
     }
     if (hottest == nullptr) continue;
-    memmodel::ClassifyOptions opts;  // defaults match the paper machine
-    const auto level = memmodel::traffic_level(*hottest, opts);
-    const auto verdict = memmodel::classify_serial(*hottest, opts);
+    const auto level = memmodel::traffic_level(*hottest, machine);
+    const auto verdict = memmodel::classify_serial(*hottest, machine);
     double beta = 1.0;
     for (const auto& child : c.tree.root->children()) {
       if (child->kind() == tree::NodeKind::Sec) {
@@ -65,8 +66,8 @@ int main() {
                "'Slowdown'/'Slowdown++' rows saturate early.\n";
 
   // Extension: the MPI-trend analyzer (memmodel/mpi_trend.hpp) covers the
-  // rows the paper leaves to future work by replaying recorded access
-  // traces through what-if cache configurations.
+  // rows the paper leaves to future work by sending each access of a loop,
+  // as it runs, through what-if cache configurations.
   std::cout << "\nMPI-trend estimation (the future-work rows), on probe "
                "loops:\n";
   {
@@ -89,7 +90,7 @@ int main() {
       const memmodel::TrendReport r = analyzer.loop_end();
       trends.add_row({name, util::fmt_f(r.serial_mpi, 4),
                       util::fmt_f(r.parallel_mpi, 4),
-                      memmodel::to_string(r.trend(topts))});
+                      memmodel::to_string(r.trend())});
     };
     add_probe("streaming (WS >> caches)", [](vcpu::VirtualCpu& cpu,
                                              memmodel::MpiTrendAnalyzer& a) {

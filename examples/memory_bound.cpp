@@ -27,14 +27,16 @@ int main() {
   workloads::KernelRun run =
       workloads::run_ft(params, {.cache = workloads::scaled_cache()});
 
+  const machine::MachineConfig machine = report::paper_machine();
   std::cout << "\nPer-section serial counters:\n";
   util::Table counters({"section", "MPI", "traffic MB/s", "class"});
   for (const auto& child : run.tree.root->children()) {
     if (child->kind() != tree::NodeKind::Sec || !child->counters()) continue;
     const auto* c = child->counters();
-    counters.add_row({child->name(), util::fmt_f(c->mpi(), 4),
-                      util::fmt_f(c->traffic_mbps(), 1),
-                      memmodel::to_string(memmodel::classify_serial(*c, {}))});
+    counters.add_row(
+        {child->name(), util::fmt_f(c->mpi(), 4),
+         util::fmt_f(c->traffic_mbps(), 1),
+         memmodel::to_string(memmodel::classify_serial(*c, machine))});
   }
   counters.print(std::cout);
 

@@ -1,5 +1,7 @@
 #include "memmodel/classify.hpp"
 
+#include "memmodel/burden.hpp"
+
 namespace pprophet::memmodel {
 
 const char* to_string(TrafficLevel v) {
@@ -35,13 +37,12 @@ const char* to_string(ExpectedSpeedup v) {
 }
 
 TrafficLevel traffic_level(const tree::SectionCounters& counters,
-                           const ClassifyOptions& opts) {
-  if (counters.mpi() < opts.mpi_floor) return TrafficLevel::Low;
+                           const machine::MachineConfig& machine) {
+  if (counters.mpi() < BurdenOptions{}.mpi_floor) return TrafficLevel::Low;
   const double traffic = counters.traffic_mbps();
-  if (traffic < opts.low_fraction * opts.saturation_mbps) {
-    return TrafficLevel::Low;
-  }
-  if (traffic < opts.heavy_fraction * opts.saturation_mbps) {
+  const double saturation = machine.bandwidth.saturation_mbps;
+  if (traffic < kLowTrafficFraction * saturation) return TrafficLevel::Low;
+  if (traffic < kHeavyTrafficFraction * saturation) {
     return TrafficLevel::Moderate;
   }
   return TrafficLevel::Heavy;
@@ -78,8 +79,8 @@ ExpectedSpeedup classify(MpiTrend trend, TrafficLevel level) {
 }
 
 ExpectedSpeedup classify_serial(const tree::SectionCounters& counters,
-                                const ClassifyOptions& opts) {
-  return classify(MpiTrend::Unchanged, traffic_level(counters, opts));
+                                const machine::MachineConfig& machine) {
+  return classify(MpiTrend::Unchanged, traffic_level(counters, machine));
 }
 
 }  // namespace pprophet::memmodel

@@ -8,6 +8,7 @@
 
 #include <string>
 
+#include "machine/machine.hpp"
 #include "tree/node.hpp"
 
 namespace pprophet::memmodel {
@@ -34,24 +35,21 @@ const char* to_string(TrafficLevel v);
 const char* to_string(MpiTrend v);
 const char* to_string(ExpectedSpeedup v);
 
-struct ClassifyOptions {
-  /// Traffic below this fraction of machine saturation is "Low", above
-  /// `heavy_fraction` is "Heavy".
-  double saturation_mbps = 1200.0;
-  double low_fraction = 0.15;
-  double heavy_fraction = 0.60;
-  /// MPI below this is treated as Low traffic regardless (assumption 5).
-  double mpi_floor = 0.001;
-};
+/// Serial traffic below this fraction of the machine's saturation bandwidth
+/// is Low; at or above `kHeavyTrafficFraction` it is Heavy.
+inline constexpr double kLowTrafficFraction = 0.15;
+inline constexpr double kHeavyTrafficFraction = 0.60;
 
+/// Sections below the burden model's MPI floor (assumption 5) are Low
+/// whatever their traffic.
 TrafficLevel traffic_level(const tree::SectionCounters& counters,
-                           const ClassifyOptions& opts);
+                           const machine::MachineConfig& machine);
 
 /// The full Table IV cell lookup.
 ExpectedSpeedup classify(MpiTrend trend, TrafficLevel level);
 
 /// The lightweight-profiling entry point: assumes the Unchanged row.
 ExpectedSpeedup classify_serial(const tree::SectionCounters& counters,
-                                const ClassifyOptions& opts);
+                                const machine::MachineConfig& machine);
 
 }  // namespace pprophet::memmodel

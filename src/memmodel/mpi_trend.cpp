@@ -1,12 +1,11 @@
 #include "memmodel/mpi_trend.hpp"
 
 #include <bit>
-#include <memory>
 #include <stdexcept>
 
 namespace pprophet::memmodel {
 
-MpiTrend TrendReport::trend(const TrendOptions& opts) const {
+MpiTrend TrendReport::trend() const {
   if (serial_mpi <= 0.0) {
     // A loop with no serial misses that gains them in parallel is the
     // "higher" row; otherwise there is nothing to compare.
@@ -14,8 +13,8 @@ MpiTrend TrendReport::trend(const TrendOptions& opts) const {
                                 : MpiTrend::Unchanged;
   }
   const double ratio = parallel_mpi / serial_mpi;
-  if (ratio >= opts.higher_ratio) return MpiTrend::ParallelHigher;
-  if (ratio <= opts.lower_ratio) return MpiTrend::ParallelLower;
+  if (ratio >= kHigherMpiRatio) return MpiTrend::ParallelHigher;
+  if (ratio <= kLowerMpiRatio) return MpiTrend::ParallelLower;
   return MpiTrend::Unchanged;
 }
 
@@ -43,8 +42,17 @@ void MpiTrendAnalyzer::loop_begin() {
   if (active_) throw std::logic_error("MpiTrendAnalyzer: loops may not nest");
   active_ = true;
   current_iter_ = ~0ULL;
-  truncated_ = false;
-  trace_.clear();
+  accesses_ = 0;
+  parallel_misses_ = 0;
+  // Serial: the single profiling thread with the full hierarchy. Parallel
+  // what-if: iterations partitioned (static,1) across threads, each thread
+  // with private L1/L2 and an LLC slice of the aggregate capacity.
+  serial_.emplace(opts_.cache);
+  const cachesim::CacheConfig sliced =
+      slice_llc(opts_.cache, opts_.sockets, opts_.threads);
+  per_thread_.clear();
+  per_thread_.reserve(opts_.threads);
+  for (CoreCount t = 0; t < opts_.threads; ++t) per_thread_.emplace_back(sliced);
 }
 
 void MpiTrendAnalyzer::iteration(std::uint64_t index) {
@@ -57,16 +65,18 @@ void MpiTrendAnalyzer::iteration(std::uint64_t index) {
 void MpiTrendAnalyzer::on_access(std::uint64_t addr, std::size_t bytes,
                                  vcpu::AccessKind /*kind*/) {
   if (!active_ || current_iter_ == ~0ULL) return;
-  if (trace_.size() >= opts_.max_accesses) {
-    truncated_ = true;
-    return;
-  }
   constexpr std::uint64_t kLineShift = 6;  // 64-byte lines
   const std::uint64_t first = addr >> kLineShift;
   const std::uint64_t last =
       (addr + (bytes == 0 ? 0 : bytes - 1)) >> kLineShift;
+  cachesim::CacheHierarchy& owner =
+      per_thread_[static_cast<std::size_t>(current_iter_ % opts_.threads)];
   for (std::uint64_t line = first; line <= last; ++line) {
-    trace_.push_back(Sample{line, current_iter_});
+    serial_->access(line << kLineShift);
+    if (owner.access(line << kLineShift) == cachesim::CacheHierarchy::kDram) {
+      ++parallel_misses_;
+    }
+    ++accesses_;
   }
 }
 
@@ -76,40 +86,15 @@ TrendReport MpiTrendAnalyzer::loop_end() {
   }
   active_ = false;
   TrendReport report;
-  report.accesses = trace_.size();
-  report.truncated = truncated_;
-  if (trace_.empty()) return report;
-
-  // Serial replay: the single profiling thread with the full hierarchy.
-  {
-    cachesim::CacheHierarchy serial(opts_.cache);
-    for (const Sample& s : trace_) serial.access(s.line * 64);
-    report.serial_mpi = static_cast<double>(serial.llc_misses()) /
-                        static_cast<double>(trace_.size());
+  report.accesses = accesses_;
+  if (accesses_ > 0) {
+    report.serial_mpi = static_cast<double>(serial_->llc_misses()) /
+                        static_cast<double>(accesses_);
+    report.parallel_mpi = static_cast<double>(parallel_misses_) /
+                          static_cast<double>(accesses_);
   }
-
-  // Parallel what-if: iterations partitioned (static,1) across threads,
-  // each thread replaying its subsequence through private L1/L2 and an LLC
-  // slice of the aggregate capacity.
-  {
-    const cachesim::CacheConfig sliced =
-        slice_llc(opts_.cache, opts_.sockets, opts_.threads);
-    std::vector<std::unique_ptr<cachesim::CacheHierarchy>> per_thread;
-    per_thread.reserve(opts_.threads);
-    for (CoreCount tcount = 0; tcount < opts_.threads; ++tcount) {
-      per_thread.push_back(std::make_unique<cachesim::CacheHierarchy>(sliced));
-    }
-    std::uint64_t misses = 0;
-    for (const Sample& s : trace_) {
-      const auto owner = static_cast<std::size_t>(s.iter % opts_.threads);
-      if (per_thread[owner]->access(s.line * 64) ==
-          cachesim::CacheHierarchy::kDram) {
-        ++misses;
-      }
-    }
-    report.parallel_mpi =
-        static_cast<double>(misses) / static_cast<double>(trace_.size());
-  }
+  serial_.reset();
+  per_thread_.clear();
   return report;
 }
 

@@ -173,8 +173,7 @@ TEST(Classify, TableIvLowerRow) {
 }
 
 TEST(Classify, TrafficLevelThresholds) {
-  ClassifyOptions opts;
-  opts.saturation_mbps = 1200;
+  const machine::MachineConfig opts = machine::westmere_sim();  // 1200 MB/s
   // Low MPI forces Low regardless of traffic arithmetic.
   tree::SectionCounters low_mpi;
   low_mpi.instructions = 1'000'000;
@@ -203,8 +202,7 @@ TEST(Classify, TrafficLevelThresholds) {
 // of counters that straddles the MPI floor and both traffic thresholds
 // (at 64e6 cycles, traffic in MB/s is (misses + writebacks) / 1000).
 TEST(Classify, WestmereGridDigest) {
-  ClassifyOptions opts;
-  opts.saturation_mbps = machine::westmere_sim().bandwidth.saturation_mbps;
+  const machine::MachineConfig opts = machine::westmere_sim();
   util::Fnv64 h;
   int levels[3] = {0, 0, 0};
   for (const Cycles cycles : {0ULL, 64'000'000ULL, 100'000'000ULL,

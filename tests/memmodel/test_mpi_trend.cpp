@@ -63,7 +63,7 @@ TEST_F(MpiTrendTest, StreamingHugeArrayIsUnchanged) {
   }
   const TrendReport r = tr.loop_end();
   EXPECT_GT(r.serial_mpi, 0.05);
-  EXPECT_EQ(r.trend(tiny_options()), MpiTrend::Unchanged);
+  EXPECT_EQ(r.trend(), MpiTrend::Unchanged);
 }
 
 TEST_F(MpiTrendTest, ElementCyclicPartitionIsFalseSharing) {
@@ -79,7 +79,7 @@ TEST_F(MpiTrendTest, ElementCyclicPartitionIsFalseSharing) {
     a.set(i, 1.0);
   }
   const TrendReport r = tr.loop_end();
-  EXPECT_EQ(r.trend(tiny_options()), MpiTrend::ParallelHigher);
+  EXPECT_EQ(r.trend(), MpiTrend::ParallelHigher);
 }
 
 TEST_F(MpiTrendTest, AggregateCacheGrowthGivesParallelLower) {
@@ -101,7 +101,7 @@ TEST_F(MpiTrendTest, AggregateCacheGrowthGivesParallelLower) {
   const TrendReport r = tr.loop_end();
   EXPECT_GT(r.serial_mpi, 0.02);  // serial LLC thrashes
   EXPECT_LT(r.parallel_mpi, r.serial_mpi * 0.7);
-  EXPECT_EQ(r.trend(tiny_options(2)), MpiTrend::ParallelLower);
+  EXPECT_EQ(r.trend(), MpiTrend::ParallelLower);
 }
 
 TEST_F(MpiTrendTest, SharedDataThrashingGivesParallelHigher) {
@@ -120,36 +120,20 @@ TEST_F(MpiTrendTest, SharedDataThrashingGivesParallelHigher) {
   }
   const TrendReport r = tr.loop_end();
   EXPECT_GT(r.parallel_mpi, r.serial_mpi * 1.5);
-  EXPECT_EQ(r.trend(tiny_options(8)), MpiTrend::ParallelHigher);
+  EXPECT_EQ(r.trend(), MpiTrend::ParallelHigher);
 }
 
 TEST_F(MpiTrendTest, TrendFeedsTableIvClassification) {
-  const TrendOptions opts = tiny_options();
   TrendReport lower;
   lower.serial_mpi = 0.1;
   lower.parallel_mpi = 0.01;
-  EXPECT_EQ(classify(lower.trend(opts), TrafficLevel::Low),
+  EXPECT_EQ(classify(lower.trend(), TrafficLevel::Low),
             ExpectedSpeedup::ScalableOrSuperlinear);
   TrendReport higher;
   higher.serial_mpi = 0.01;
   higher.parallel_mpi = 0.1;
-  EXPECT_EQ(classify(higher.trend(opts), TrafficLevel::Heavy),
+  EXPECT_EQ(classify(higher.trend(), TrafficLevel::Heavy),
             ExpectedSpeedup::SlowdownPlusPlus);
-}
-
-TEST_F(MpiTrendTest, TruncationIsReported) {
-  TrendOptions o = tiny_options();
-  o.max_accesses = 100;
-  vcpu::InstrumentedArray<double> a(cpu, 1024);
-  MpiTrendAnalyzer tr(cpu, o);
-  tr.loop_begin();
-  for (std::uint64_t i = 0; i < a.size(); ++i) {
-    tr.iteration(i);
-    a.set(i, 1.0);
-  }
-  const TrendReport r = tr.loop_end();
-  EXPECT_TRUE(r.truncated);
-  EXPECT_EQ(r.accesses, 100u);
 }
 
 // Synthetic loops fed straight to on_access (no host heap address is
@@ -245,7 +229,7 @@ TEST_F(MpiTrendTest, EmptyLoopIsHarmless) {
   tr.loop_begin();
   const TrendReport r = tr.loop_end();
   EXPECT_EQ(r.accesses, 0u);
-  EXPECT_EQ(r.trend(tiny_options()), MpiTrend::Unchanged);
+  EXPECT_EQ(r.trend(), MpiTrend::Unchanged);
 }
 
 TEST_F(MpiTrendTest, MisuseThrows) {

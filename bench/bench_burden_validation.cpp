@@ -10,9 +10,8 @@
 // saturates are scored against the 30% bound.
 #include <iostream>
 
-#include "memmodel/burden.hpp"
+#include "memmodel/price.hpp"
 #include "util/rng.hpp"
-#include "memmodel/calibration.hpp"
 #include "report/experiment.hpp"
 #include "tree/builder.hpp"
 #include "util/env.hpp"
@@ -61,9 +60,8 @@ int main() {
           " samples; paper: saturated samples 'mostly within a 30% error "
           "bound')");
 
-  memmodel::CalibrationOptions copts;
-  copts.machine = report::paper_machine();
-  const memmodel::BurdenModel model(memmodel::calibrate(copts));
+  const core::PredictOptions paper =
+      report::paper_options(core::Method::GroundTruth);
 
   util::Xoshiro256 rng(0xBEEF);
   const CoreCount counts[] = {4, 8, 12};
@@ -71,10 +69,9 @@ int main() {
   long saturated = 0, saturated_within_30 = 0;
   for (long s = 0; s < samples; ++s) {
     tree::ProgramTree t = random_memory_sample(rng);
-    memmodel::annotate_burdens(t, model, counts);
+    memmodel::price_burdens(t, paper.machine, paper.dram_stall, counts);
     for (const CoreCount n : counts) {
-      core::PredictOptions o =
-          report::paper_options(core::Method::GroundTruth);
+      core::PredictOptions o = paper;
       const double r = core::predict(t, n, o).speedup;
       o.method = core::Method::Synthesizer;
       o.memory_model = true;

@@ -14,8 +14,7 @@
 
 #include "core/prophet.hpp"
 #include "core/sweep.hpp"
-#include "memmodel/burden.hpp"
-#include "memmodel/calibration.hpp"
+#include "memmodel/price.hpp"
 #include "report/experiment.hpp"
 #include "tree/compile.hpp"
 #include "tree/compress.hpp"
@@ -36,10 +35,10 @@ int main() {
   // Annotate burdens up front so the memory-model half of the grid reads
   // real β_t tables.
   {
-    memmodel::CalibrationOptions copts;
-    copts.machine = report::paper_options(core::Method::Synthesizer).machine;
-    const memmodel::BurdenModel model(memmodel::calibrate(copts));
-    memmodel::annotate_burdens(t, model, report::paper_core_counts());
+    const core::PredictOptions paper =
+        report::paper_options(core::Method::Synthesizer);
+    memmodel::price_burdens(t, paper.machine, paper.dram_stall,
+                            report::paper_core_counts());
   }
 
   core::SweepGrid grid;

@@ -6,9 +6,8 @@
 #include <iostream>
 
 #include "core/prophet.hpp"
-#include "memmodel/burden.hpp"
-#include "memmodel/calibration.hpp"
 #include "memmodel/classify.hpp"
+#include "memmodel/price.hpp"
 #include "report/experiment.hpp"
 #include "util/table.hpp"
 #include "workloads/npb.hpp"
@@ -27,7 +26,8 @@ int main() {
   workloads::KernelRun run =
       workloads::run_ft(params, {.cache = workloads::scaled_cache()});
 
-  const machine::MachineConfig machine = report::paper_machine();
+  const core::PredictOptions paper =
+      report::paper_options(core::Method::Synthesizer);
   std::cout << "\nPer-section serial counters:\n";
   util::Table counters({"section", "MPI", "traffic MB/s", "class"});
   for (const auto& child : run.tree.root->children()) {
@@ -36,16 +36,13 @@ int main() {
     counters.add_row(
         {child->name(), util::fmt_f(c->mpi(), 4),
          util::fmt_f(c->traffic_mbps(), 1),
-         memmodel::to_string(memmodel::classify_serial(*c, machine))});
+         memmodel::to_string(memmodel::classify_serial(*c, paper.machine))});
   }
   counters.print(std::cout);
 
   // Calibrate Ψ/Φ on the target machine and attach burden factors.
-  memmodel::CalibrationOptions copts;
-  copts.machine = report::paper_machine();
-  const memmodel::BurdenModel model(memmodel::calibrate(copts));
   const CoreCount cores[] = {2, 4, 6, 8, 10, 12};
-  memmodel::annotate_burdens(run.tree, model, cores);
+  memmodel::price_burdens(run.tree, paper.machine, paper.dram_stall, cores);
 
   std::cout << "\nBurden factors (per top-level section):\n";
   util::Table burdens({"section", "b2", "b4", "b6", "b8", "b10", "b12"});

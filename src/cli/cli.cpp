@@ -23,8 +23,7 @@
 #include "reuse/miss_model.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "memmodel/burden.hpp"
-#include "memmodel/calibration.hpp"
+#include "memmodel/price.hpp"
 #include "report/experiment.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
@@ -277,11 +276,7 @@ std::optional<tree::CompiledTree> price(const Options& opts,
     base.dram_stall = p->cost.dram;
   }
   if (opts.memory_model) {
-    memmodel::CalibrationOptions copts;
-    copts.machine = base.machine;
-    copts.dram_stall = base.dram_stall;
-    const memmodel::BurdenModel model(memmodel::calibrate(copts));
-    memmodel::annotate_burdens(*t, model, opts.threads);
+    memmodel::price_burdens(*t, base.machine, base.dram_stall, opts.threads);
   }
   return tree::CompiledTree::compile(*t);
 }

@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "annotate/annotations.hpp"
-#include "memmodel/calibration.hpp"
+#include "memmodel/price.hpp"
 #include "obs/trace.hpp"
 #include "trace/profiler.hpp"
 #include "util/table.hpp"
@@ -86,20 +86,13 @@ ProphetReport Prophet::analyze(ProfiledProgram profiled) const {
   ProphetReport report;
   report.stages = std::move(profiled.stages);
   report.thread_counts = config_.thread_counts;
+  const PredictOptions synth = predict_options(Method::Synthesizer);
   if (config_.memory_model) {
     StageScope stage(report.stages, "memory-model");
-    memmodel::CalibrationOptions copts;
-    copts.machine = config_.machine;
-    const memmodel::BurdenModel model(memmodel::calibrate(copts));
-    memmodel::annotate_burdens(profiled.tree, model, config_.thread_counts);
+    memmodel::price_burdens(profiled.tree, synth.machine, synth.dram_stall,
+                            config_.thread_counts);
   }
   report.tree_stats = tree::compute_stats(profiled.tree);
-  for (const auto& child : profiled.tree.root->children()) {
-    if (child->kind() != tree::NodeKind::Sec) continue;
-    for (const CoreCount t : config_.thread_counts) {
-      report.max_burden = std::max(report.max_burden, child->burden(t));
-    }
-  }
 
   // One compilation feeds both curves and the advisor.
   tree::CompiledTree compiled;
@@ -109,18 +102,20 @@ ProphetReport Prophet::analyze(ProfiledProgram profiled) const {
     for (const CoreCount t : config_.thread_counts) {
       report.ff.push_back(
           predict(compiled, t, predict_options(Method::FastForward)));
-      report.synth.push_back(
-          predict(compiled, t, predict_options(Method::Synthesizer)));
+      report.synth.push_back(predict(compiled, t, synth));
     }
   }
 
   {
     StageScope stage(report.stages, "advise");
     AdviseOptions ao;
-    ao.base = predict_options(Method::Synthesizer);
+    ao.base = synth;
     ao.grid.thread_counts = config_.thread_counts;
     ao.grid.chunks.clear();  // sweep with the configured chunk (as before)
     report.advice = advise(compiled, ao);
+  }
+  for (const SectionProfile& sp : report.advice.profile.sections) {
+    report.max_burden = std::max(report.max_burden, sp.max_burden);
   }
   if (obs::enabled()) {
     report.metrics = obs::MetricsRegistry::global().snapshot();

@@ -23,8 +23,7 @@
 #include "core/prophet.hpp"
 #include "emul/ff.hpp"
 #include "emul/suitability.hpp"
-#include "memmodel/burden.hpp"
-#include "memmodel/calibration.hpp"
+#include "memmodel/price.hpp"
 #include "report/experiment.hpp"
 #include "tree/compile.hpp"
 #include "util/fnv.hpp"
@@ -68,10 +67,8 @@ ProgramTree annotated_tree(std::uint64_t seed) {
     c.llc_writebacks = c.llc_misses / 4;
     child->set_counters(c);
   }
-  memmodel::CalibrationOptions copts;
-  copts.machine = report::paper_options(Method::Synthesizer).machine;
-  const memmodel::BurdenModel model(memmodel::calibrate(copts));
-  memmodel::annotate_burdens(t, model, kBurdenThreads);
+  const PredictOptions paper = report::paper_options(Method::Synthesizer);
+  memmodel::price_burdens(t, paper.machine, paper.dram_stall, kBurdenThreads);
   return t;
 }
 

@@ -343,23 +343,26 @@ int cmd_predict(const Options& opts, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
+/// The sweep grid's axes, shared by `sweep` and the client's predict/sweep
+/// frames: each axis takes its list flag, else the singular flag's value.
+core::SweepGrid grid_axes(const Options& opts) {
+  const auto axis = [](const auto& list, const auto& single) {
+    return list.empty() ? std::decay_t<decltype(list)>{single} : list;
+  };
+  core::SweepGrid grid;
+  grid.methods = axis(opts.methods, opts.method);
+  grid.paradigms = axis(opts.paradigms, opts.paradigm);
+  grid.schedules = axis(opts.schedules, opts.schedule);
+  grid.chunks = axis(opts.chunks, opts.chunk);
+  grid.thread_counts = opts.threads;
+  return grid;
+}
+
 // Batched what-if sweep over (method × paradigm × schedule × chunk ×
 // threads) through the memoizing engine (core/sweep.hpp), with the cache
 // hit-rate and wall-clock reported so the batching win is visible.
 int cmd_sweep(const Options& opts, std::ostream& out, std::ostream& err) {
-  core::SweepGrid grid;
-  grid.methods = opts.methods.empty()
-                     ? std::vector<core::Method>{opts.method}
-                     : opts.methods;
-  grid.paradigms = opts.paradigms.empty()
-                       ? std::vector<core::Paradigm>{opts.paradigm}
-                       : opts.paradigms;
-  grid.schedules = opts.schedules.empty()
-                       ? std::vector<runtime::OmpSchedule>{opts.schedule}
-                       : opts.schedules;
-  grid.chunks = opts.chunks.empty() ? std::vector<std::uint64_t>{opts.chunk}
-                                    : opts.chunks;
-  grid.thread_counts = opts.threads;
+  core::SweepGrid grid = grid_axes(opts);
   grid.memory_models = {opts.memory_model};
   grid.base = report::paper_options(grid.methods.front());
   grid.base.machine.cores = opts.cores;
@@ -710,12 +713,13 @@ int cmd_serve(const Options& opts, std::ostream& out, std::ostream& err,
 serve::JsonValue build_client_request(const Options& opts,
                                       const std::string& op,
                                       const std::string& key) {
+  const core::SweepGrid grid = grid_axes(opts);
   serve::JsonValue req;
   req.set("op", serve::JsonValue(op));
   req.set("v", serve::JsonValue(serve::kProtocolVersion));
   req.set("key", serve::JsonValue(key));
   serve::JsonValue::Array threads;
-  for (const CoreCount t : opts.threads) {
+  for (const CoreCount t : grid.thread_counts) {
     threads.emplace_back(static_cast<std::uint64_t>(t));
   }
   req.set("threads", serve::JsonValue(std::move(threads)));
@@ -731,25 +735,21 @@ serve::JsonValue build_client_request(const Options& opts,
     }
     return req;  // the advisor sweeps its own dimensions
   }
-  // Each grid axis sends its list flag, else the singular flag's value.
-  const auto axis = [&req](const char* name, const auto& list,
-                           const auto& single) {
-    const auto wire = [](const auto& v) {
-      if constexpr (std::is_integral_v<std::decay_t<decltype(v)>>) {
-        return serve::JsonValue(v);
-      } else {
-        return serve::JsonValue(serve::wire_name(v));
-      }
-    };
+  const auto axis = [&req](const char* name, const auto& list) {
     serve::JsonValue::Array values;
-    if (list.empty()) values.push_back(wire(single));
-    for (const auto& v : list) values.push_back(wire(v));
+    for (const auto& v : list) {
+      if constexpr (std::is_integral_v<std::decay_t<decltype(v)>>) {
+        values.emplace_back(v);
+      } else {
+        values.emplace_back(serve::wire_name(v));
+      }
+    }
     req.set(name, serve::JsonValue(std::move(values)));
   };
-  axis("methods", opts.methods, opts.method);
-  axis("paradigms", opts.paradigms, opts.paradigm);
-  axis("schedules", opts.schedules, opts.schedule);
-  axis("chunks", opts.chunks, opts.chunk);
+  axis("methods", grid.methods);
+  axis("paradigms", grid.paradigms);
+  axis("schedules", grid.schedules);
+  axis("chunks", grid.chunks);
   if (!opts.machines.empty()) {
     serve::JsonValue::Array machines;
     for (const std::string& m : opts.machines) machines.emplace_back(m);

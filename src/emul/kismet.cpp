@@ -17,15 +17,13 @@ struct PathInfo {
   /// all critical sections of one lock back to back.
   std::map<LockId, Cycles> lock_demand;
 
-  void absorb_parallel(const PathInfo& child) {
-    work += child.work;
-    span = std::max(span, child.span);
-    for (const auto& [id, c] : child.lock_demand) lock_demand[id] += c;
-  }
-  void absorb_sequential(const PathInfo& child) {
-    work += child.work;
-    span += child.span;
-    for (const auto& [id, c] : child.lock_demand) lock_demand[id] += c;
+  /// Absorbs `repeat` copies of `child`, side by side when `parallel`,
+  /// else back to back: the closed form of absorbing it `repeat` times.
+  void absorb(const PathInfo& child, std::uint64_t repeat, bool parallel) {
+    if (repeat == 0) return;
+    work += repeat * child.work;
+    span = parallel ? std::max(span, child.span) : span + repeat * child.span;
+    for (const auto& [id, c] : child.lock_demand) lock_demand[id] += repeat * c;
   }
 };
 
@@ -44,20 +42,14 @@ PathInfo analyze(const Node& node) {
     case NodeKind::Task:
     case NodeKind::Root: {
       for (const auto& c : node.children()) {
-        PathInfo child = analyze(*c);
-        for (std::uint64_t r = 0; r < c->repeat(); ++r) {
-          info.absorb_sequential(child);
-        }
+        info.absorb(analyze(*c), c->repeat(), /*parallel=*/false);
       }
       break;
     }
     case NodeKind::Sec: {
       PathInfo inner;
       for (const auto& c : node.children()) {
-        PathInfo child = analyze(*c);
-        for (std::uint64_t r = 0; r < c->repeat(); ++r) {
-          inner.absorb_parallel(child);
-        }
+        inner.absorb(analyze(*c), c->repeat(), /*parallel=*/true);
       }
       // Lock serialization can dominate the parallel span.
       for (const auto& [id, demand] : inner.lock_demand) {

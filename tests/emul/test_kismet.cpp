@@ -127,6 +127,22 @@ TEST(Kismet, RepeatCountsExpand) {
   EXPECT_EQ(r.critical_path, 10u);
 }
 
+// Repeats are absorbed in closed form: 2^40 copies cost no more than one,
+// and a zero repeat contributes nothing (not even its span).
+TEST(Kismet, HugeAndZeroRepeatsAreClosedForm) {
+  constexpr std::uint64_t kHuge = 1ULL << 40;
+  TreeBuilder b;
+  b.u(5).repeat_last(kHuge);
+  b.begin_sec("s");
+  b.begin_task("t").u(10).l(1, 2).end_task().repeat_last(kHuge);
+  b.begin_task("never").u(1'000'000).end_task().repeat_last(0);
+  b.end_sec();
+  const KismetResult r = analyze_kismet(b.finish());
+  EXPECT_EQ(r.serial_cycles, 5 * kHuge + 12 * kHuge);
+  // The section's span is lock 1's serialized demand, 2 × 2^40 cycles.
+  EXPECT_EQ(r.critical_path, 5 * kHuge + 2 * kHuge);
+}
+
 // Pins work and span over random trees, each as generated and compressed
 // (compression folds equal siblings into repeats), so a change to how
 // repeats are absorbed shows as a digest change.

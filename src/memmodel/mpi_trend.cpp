@@ -52,7 +52,9 @@ void MpiTrendAnalyzer::loop_begin() {
       slice_llc(opts_.cache, opts_.sockets, opts_.threads);
   per_thread_.clear();
   per_thread_.reserve(opts_.threads);
-  for (CoreCount t = 0; t < opts_.threads; ++t) per_thread_.emplace_back(sliced);
+  for (CoreCount t = 0; t < opts_.threads; ++t) {
+    per_thread_.emplace_back(sliced);
+  }
 }
 
 void MpiTrendAnalyzer::iteration(std::uint64_t index) {

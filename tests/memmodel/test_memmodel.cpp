@@ -173,13 +173,14 @@ TEST(Classify, TableIvLowerRow) {
 }
 
 TEST(Classify, TrafficLevelThresholds) {
-  const machine::MachineConfig opts = machine::westmere_sim();  // 1200 MB/s
+  // The paper machine saturates at 1200 MB/s.
+  const machine::MachineConfig westmere = machine::westmere_sim();
   // Low MPI forces Low regardless of traffic arithmetic.
   tree::SectionCounters low_mpi;
   low_mpi.instructions = 1'000'000;
   low_mpi.cycles = 1'000'000;
   low_mpi.llc_misses = 10;
-  EXPECT_EQ(traffic_level(low_mpi, opts), TrafficLevel::Low);
+  EXPECT_EQ(traffic_level(low_mpi, westmere), TrafficLevel::Low);
 
   // Heavy: 64000 * D / T = 64000 * 312500 / 1e8 = 200 MB/s > 0.15*1200?
   // 200 < 720 (0.6*1200): that's Moderate. Heavy needs > 720: D = 1.2e6.
@@ -187,22 +188,23 @@ TEST(Classify, TrafficLevelThresholds) {
   heavy.instructions = 50'000'000;
   heavy.cycles = 100'000'000;
   heavy.llc_misses = 1'200'000;  // 768 MB/s
-  EXPECT_EQ(traffic_level(heavy, opts), TrafficLevel::Heavy);
-  EXPECT_EQ(classify_serial(heavy, opts), ExpectedSpeedup::SlowdownPlusPlus);
+  EXPECT_EQ(traffic_level(heavy, westmere), TrafficLevel::Heavy);
+  EXPECT_EQ(classify_serial(heavy, westmere),
+            ExpectedSpeedup::SlowdownPlusPlus);
 
   // Moderate: 200 MB/s, between 0.15 and 0.6 of saturation.
   tree::SectionCounters moderate;
   moderate.instructions = 50'000'000;
   moderate.cycles = 100'000'000;
   moderate.llc_misses = 312'500;
-  EXPECT_EQ(traffic_level(moderate, opts), TrafficLevel::Moderate);
+  EXPECT_EQ(traffic_level(moderate, westmere), TrafficLevel::Moderate);
 }
 
 // Pins traffic_level and classify_serial on the paper machine over a grid
 // of counters that straddles the MPI floor and both traffic thresholds
 // (at 64e6 cycles, traffic in MB/s is (misses + writebacks) / 1000).
 TEST(Classify, WestmereGridDigest) {
-  const machine::MachineConfig opts = machine::westmere_sim();
+  const machine::MachineConfig westmere = machine::westmere_sim();
   util::Fnv64 h;
   int levels[3] = {0, 0, 0};
   for (const Cycles cycles : {0ULL, 64'000'000ULL, 100'000'000ULL,
@@ -219,10 +221,10 @@ TEST(Classify, WestmereGridDigest) {
           c.instructions = instructions;
           c.llc_misses = misses;
           c.llc_writebacks = writebacks;
-          const TrafficLevel level = traffic_level(c, opts);
+          const TrafficLevel level = traffic_level(c, westmere);
           ++levels[static_cast<int>(level)];
           h.byte(static_cast<std::uint8_t>(level));
-          h.byte(static_cast<std::uint8_t>(classify_serial(c, opts)));
+          h.byte(static_cast<std::uint8_t>(classify_serial(c, westmere)));
         }
       }
     }
